@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "sftbft/chain/block_tree.hpp"
+#include "sftbft/common/crc32.hpp"
 #include "sftbft/common/interval_set.hpp"
 #include "sftbft/core/strength.hpp"
 #include "sftbft/core/vote_history.hpp"
@@ -43,6 +44,26 @@ void BM_Sha256_450KB(benchmark::State& state) {
                           450 * 1024);
 }
 BENCHMARK(BM_Sha256_450KB);
+
+// CRC-32 frames every Envelope and WAL record: the 64 B row is a vote-sized
+// frame, the 450 KB row an inline proposal.
+void BM_Crc32_64B(benchmark::State& state) {
+  const Bytes data = make_bytes(64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(data));
+  }
+}
+BENCHMARK(BM_Crc32_64B);
+
+void BM_Crc32_450KB(benchmark::State& state) {
+  const Bytes data = make_bytes(450 * 1024);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          450 * 1024);
+}
+BENCHMARK(BM_Crc32_450KB);
 
 void BM_SignVote(benchmark::State& state) {
   crypto::KeyRegistry registry(4, 1);

@@ -1,13 +1,16 @@
 #include "sftbft/common/codec.hpp"
 
+#include <cstring>
 #include <limits>
 
 namespace sftbft {
 
 void Encoder::put_le(std::uint64_t v, int width) {
-  for (int i = 0; i < width; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  std::uint8_t le[8];
+  for (int i = 0; i < 8; ++i) {
+    le[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
+  buf_.insert(buf_.end(), le, le + width);
 }
 
 void Encoder::bytes(BytesView data) {
@@ -33,12 +36,15 @@ void Decoder::need(std::size_t count) const {
 }
 
 std::uint64_t Decoder::get_le(int width) {
-  need(static_cast<std::size_t>(width));
+  const auto size = static_cast<std::size_t>(width);
+  need(size);
+  std::uint8_t le[8] = {};
+  std::memcpy(le, data_.data() + pos_, size);
   std::uint64_t v = 0;
-  for (int i = 0; i < width; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(le[i]) << (8 * i);
   }
-  pos_ += static_cast<std::size_t>(width);
+  pos_ += size;
   return v;
 }
 

@@ -3,41 +3,134 @@
 #include <cassert>
 #include <cstring>
 
+#include "sftbft/crypto/sha256_impl.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace sftbft::crypto {
+
+namespace detail {
+
+#if defined(__x86_64__) || defined(__i386__)
 
 namespace {
 
-constexpr std::array<std::uint32_t, 64> kRoundConstants = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+// The SHA-NI helpers carry the same target as their caller so they inline
+// into it; nothing here is compiled for the baseline ISA.
+#define SFTBFT_SHA_NI_TARGET \
+  __attribute__((target("sha,sse4.1"), always_inline))
 
-constexpr std::array<std::uint32_t, 8> kInitialState = {
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-
-std::uint32_t rotr(std::uint32_t x, int n) {
-  return (x >> n) | (x << (32 - n));
+// Four rounds on message words `w` (already in round order) with round
+// constants K[4*group .. 4*group+3].
+SFTBFT_SHA_NI_TARGET inline void shani_rounds(__m128i& abef, __m128i& cdgh,
+                                              __m128i w, std::size_t group) {
+  const __m128i k = _mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(&kSha256RoundConstants[4 * group]));
+  __m128i wk = _mm_add_epi32(w, k);
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  wk = _mm_shuffle_epi32(wk, 0x0E);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
 }
 
+// W[t..t+3] from W[t-16..t-1] held as w0 (oldest) .. w3 (newest).
+SFTBFT_SHA_NI_TARGET inline __m128i shani_schedule(__m128i w0, __m128i w1,
+                                                   __m128i w2, __m128i w3) {
+  const __m128i partial = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1),
+                                        _mm_alignr_epi8(w3, w2, 4));
+  return _mm_sha256msg2_epu32(partial, w3);
+}
+
+#undef SFTBFT_SHA_NI_TARGET
+
 }  // namespace
+
+__attribute__((target("sha,sse4.1"))) void sha256_compress_shani(
+    Sha256State& state, const std::uint8_t* data, std::size_t blocks) {
+  // Byte swap of each 32-bit word: message words are big-endian.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+
+  // sha256rnds2 keeps the state as {A,B,E,F} and {C,D,G,H}.
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    const auto* in = reinterpret_cast<const __m128i*>(data);
+    __m128i w0 = _mm_shuffle_epi8(_mm_loadu_si128(in + 0), bswap);
+    __m128i w1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), bswap);
+    __m128i w2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), bswap);
+    __m128i w3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), bswap);
+    shani_rounds(abef, cdgh, w0, 0);
+    shani_rounds(abef, cdgh, w1, 1);
+    shani_rounds(abef, cdgh, w2, 2);
+    shani_rounds(abef, cdgh, w3, 3);
+    for (std::size_t group = 4; group < 16; group += 4) {
+      w0 = shani_schedule(w0, w1, w2, w3);
+      shani_rounds(abef, cdgh, w0, group);
+      w1 = shani_schedule(w1, w2, w3, w0);
+      shani_rounds(abef, cdgh, w1, group + 1);
+      w2 = shani_schedule(w2, w3, w0, w1);
+      shani_rounds(abef, cdgh, w2, group + 2);
+      w3 = shani_schedule(w3, w0, w1, w2);
+      shani_rounds(abef, cdgh, w3, group + 3);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // x86
+
+bool cpu_has_sha_ni() {
+#if defined(__x86_64__) || defined(__i386__)
+  // Safe before libgcc's own constructor has run (static initialisers).
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
+}
+
+Sha256Compress sha256_compressor() {
+#if defined(__x86_64__) || defined(__i386__)
+  // Thread-safe one-time choice; the CPU does not change under a process.
+  static const Sha256Compress chosen =
+      cpu_has_sha_ni() ? &sha256_compress_shani : &sha256_compress_portable;
+  return chosen;
+#else
+  return &sha256_compress_portable;
+#endif
+}
+
+}  // namespace detail
 
 std::string Sha256Digest::hex() const { return to_hex(bytes); }
 
 std::string Sha256Digest::short_hex() const { return hex().substr(0, 8); }
 
-Sha256::Sha256() : state_(kInitialState) {}
+Sha256::Sha256() : state_(detail::kSha256InitialState) {}
 
 void Sha256::update(BytesView data) {
   assert(!finalized_);
+  if (data.empty()) return;
+  const detail::Sha256Compress compress = detail::sha256_compressor();
   total_len_ += data.size();
   std::size_t offset = 0;
   // Fill a partially buffered block first.
@@ -46,39 +139,43 @@ void Sha256::update(BytesView data) {
     std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
     buffer_len_ += take;
     offset += take;
-    if (buffer_len_ == 64) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 64) return;
+    compress(state_, buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  // Whole blocks straight from the input.
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  // Every whole block straight from the input, in one call.
+  const std::size_t blocks = (data.size() - offset) / 64;
+  if (blocks > 0) {
+    compress(state_, data.data() + offset, blocks);
+    offset += blocks * 64;
   }
   // Buffer the tail.
-  if (offset < data.size()) {
-    buffer_len_ = data.size() - offset;
+  buffer_len_ = data.size() - offset;
+  if (buffer_len_ > 0) {
     std::memcpy(buffer_.data(), data.data() + offset, buffer_len_);
   }
 }
 
 Sha256Digest Sha256::finalize() {
   assert(!finalized_);
-
-  const std::uint64_t bit_len = total_len_ * 8;
-  // Padding: 0x80, zeros, then the 64-bit big-endian length.
-  std::uint8_t pad[72] = {0x80};
-  const std::size_t pad_len =
-      (buffer_len_ < 56) ? (56 - buffer_len_) : (120 - buffer_len_);
-  update(BytesView(pad, pad_len));
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  update(BytesView(len_bytes, 8));
   finalized_ = true;
-  assert(buffer_len_ == 0);
+  const detail::Sha256Compress compress = detail::sha256_compressor();
+
+  // Padding: 0x80, zeros, then the 64-bit big-endian bit length in the
+  // last 8 bytes of the final block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    compress(state_, buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  const std::uint64_t bit_len = total_len_ * 8;
+  for (int i = 0; i < 8; ++i) {
+    buffer_[static_cast<std::size_t>(56 + i)] =
+        static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress(state_, buffer_.data(), 1);
 
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) {
@@ -99,53 +196,6 @@ Sha256Digest Sha256::hash(BytesView data) {
   Sha256 ctx;
   ctx.update(data);
   return ctx.finalize();
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 =
-        h + s1 + ch + kRoundConstants[static_cast<std::size_t>(i)] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 Sha256Digest hmac_sha256(BytesView key, BytesView message) {

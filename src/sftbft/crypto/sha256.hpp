@@ -1,8 +1,11 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
 // The library is dependency-free: block digests, vote digests and the HMAC
-// signature substrate all run on this implementation. Verified against the
-// NIST/FIPS test vectors in tests/crypto_test.cpp.
+// signature substrate all run on this implementation. The block compressor
+// is chosen once from cpuid: Intel SHA extensions (SHA-NI) when the CPU has
+// them, portable C++ otherwise (sha256_impl.hpp). Digests are identical on
+// both paths. tests/crypto_test.cpp runs the NIST/FIPS vectors through both
+// and checks the hardware path against the portable reference.
 #pragma once
 
 #include <array>
@@ -35,8 +38,6 @@ class Sha256 {
   static Sha256Digest hash(BytesView data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;

@@ -1,11 +1,18 @@
-// Crypto substrate tests: SHA-256 against FIPS 180-4 vectors, HMAC-SHA-256
-// against RFC 4231 vectors, and signature/PKI behaviour.
+// Crypto substrate tests: SHA-256 against FIPS 180-4 vectors on every
+// compressor the CPU can run, the dispatched path against the portable
+// reference, HMAC-SHA-256 against RFC 4231 vectors, and signature/PKI
+// behaviour.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sftbft/common/bytes.hpp"
+#include "sftbft/common/rng.hpp"
 #include "sftbft/crypto/sha256.hpp"
+#include "sftbft/crypto/sha256_impl.hpp"
 #include "sftbft/crypto/signature.hpp"
 
 namespace sftbft::crypto {
@@ -15,46 +22,108 @@ Bytes ascii(const std::string& s) {
   return Bytes(s.begin(), s.end());
 }
 
+Bytes random_bytes(std::uint64_t seed, std::size_t size) {
+  Rng rng(seed);
+  Bytes out(size);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+// Pads and hashes `data` with one given compressor, bypassing Sha256's
+// buffering and dispatch, so each backend is checked on its own.
+Sha256Digest hash_with(detail::Sha256Compress compress, BytesView data) {
+  detail::Sha256State state = detail::kSha256InitialState;
+  const std::size_t whole = data.size() / 64;
+  if (whole > 0) compress(state, data.data(), whole);
+
+  std::uint8_t tail[128] = {};
+  const std::size_t rest = data.size() - whole * 64;
+  if (rest > 0) std::memcpy(tail, data.data() + whole * 64, rest);
+  tail[rest] = 0x80;
+  const std::size_t tail_blocks = rest < 56 ? 1 : 2;
+  const std::uint64_t bit_len = static_cast<std::uint64_t>(data.size()) * 8;
+  for (std::size_t i = 0; i < 8; ++i) {
+    tail[tail_blocks * 64 - 1 - i] =
+        static_cast<std::uint8_t>(bit_len >> (8 * i));
+  }
+  compress(state, tail, tail_blocks);
+
+  Sha256Digest digest;
+  for (std::size_t i = 0; i < 32; ++i) {
+    digest.bytes[i] =
+        static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return digest;
+}
+
+Sha256Digest portable_hash(BytesView data) {
+  return hash_with(&detail::sha256_compress_portable, data);
+}
+
+// Every compressor this CPU can run, portable first.
+std::vector<std::pair<std::string, detail::Sha256Compress>> compressors() {
+  std::vector<std::pair<std::string, detail::Sha256Compress>> out = {
+      {"portable", &detail::sha256_compress_portable}};
+#if defined(__x86_64__) || defined(__i386__)
+  if (detail::cpu_has_sha_ni()) {
+    out.emplace_back("sha-ni", &detail::sha256_compress_shani);
+  }
+#endif
+  return out;
+}
+
 // ---------------------------------------------------------------- SHA-256
 
+// A FIPS 180-4 vector through Sha256::hash and through every compressor.
+void expect_fips_vector(const Bytes& input, const std::string& expected) {
+  EXPECT_EQ(Sha256::hash(input).hex(), expected) << "dispatched";
+  for (const auto& [name, compress] : compressors()) {
+    EXPECT_EQ(hash_with(compress, input).hex(), expected) << name;
+  }
+}
+
 TEST(Sha256, EmptyInput) {
-  EXPECT_EQ(Sha256::hash({}).hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  expect_fips_vector(
+      {}, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
 TEST(Sha256, Abc) {
-  EXPECT_EQ(Sha256::hash(ascii("abc")).hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  expect_fips_vector(
+      ascii("abc"),
+      "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 TEST(Sha256, TwoBlockMessage) {
-  EXPECT_EQ(
-      Sha256::hash(ascii("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
-          .hex(),
+  expect_fips_vector(
+      ascii("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
 TEST(Sha256, ExactBlockBoundary) {
   // 64 bytes: forces padding into a second block.
-  const std::string block(64, 'a');
-  EXPECT_EQ(Sha256::hash(ascii(block)).hex(),
-            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
+  expect_fips_vector(
+      ascii(std::string(64, 'a')),
+      "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
 }
 
 TEST(Sha256, FiftyFiveAndFiftySixBytes) {
   // 55 bytes fits length in the same block; 56 does not.
-  EXPECT_EQ(Sha256::hash(ascii(std::string(55, 'a'))).hex(),
-            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318");
-  EXPECT_EQ(Sha256::hash(ascii(std::string(56, 'a'))).hex(),
-            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a");
+  expect_fips_vector(
+      ascii(std::string(55, 'a')),
+      "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318");
+  expect_fips_vector(
+      ascii(std::string(56, 'a')),
+      "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a");
 }
 
 TEST(Sha256, MillionAs) {
+  const std::string expected =
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
   Sha256 ctx;
   const std::string chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) ctx.update(ascii(chunk));
-  EXPECT_EQ(ctx.finalize().hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  EXPECT_EQ(ctx.finalize().hex(), expected);
+  expect_fips_vector(ascii(std::string(1000000, 'a')), expected);
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {
@@ -65,6 +134,69 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     ctx.update(BytesView(data.data() + split, data.size() - split));
     EXPECT_EQ(ctx.finalize(), Sha256::hash(data)) << "split=" << split;
   }
+}
+
+TEST(Sha256, DispatchedMatchesPortableOneShot) {
+  const Bytes data = random_bytes(0x5A256, 1024);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const BytesView view(data.data(), len);
+    const Sha256Digest expected = portable_hash(view);
+    EXPECT_EQ(Sha256::hash(view), expected) << "len=" << len;
+    for (const auto& [name, compress] : compressors()) {
+      EXPECT_EQ(hash_with(compress, view), expected) << name << " len=" << len;
+    }
+  }
+}
+
+TEST(Sha256, DispatchedMatchesPortableAtEverySplit) {
+  const Bytes data = random_bytes(0x5A257, 1024);
+  for (const std::size_t len :
+       {1, 55, 56, 63, 64, 65, 119, 120, 128, 129, 1024}) {
+    const BytesView view(data.data(), len);
+    const Sha256Digest expected = portable_hash(view);
+    for (std::size_t split = 0; split <= len; ++split) {
+      Sha256 ctx;
+      ctx.update(view.first(split));
+      ctx.update(view.subspan(split));
+      EXPECT_EQ(ctx.finalize(), expected)
+          << "len=" << len << " split=" << split;
+    }
+    Sha256 bytewise;
+    for (std::size_t i = 0; i < len; ++i) bytewise.update(view.subspan(i, 1));
+    EXPECT_EQ(bytewise.finalize(), expected) << "len=" << len << " bytewise";
+  }
+}
+
+TEST(Sha256, DispatchedMatchesPortableUnaligned) {
+  const Bytes data = random_bytes(0x5A258, 1024 + 16);
+  for (std::size_t offset = 1; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1024; len += 7) {
+      const BytesView view(data.data() + offset, len);
+      EXPECT_EQ(Sha256::hash(view), portable_hash(view))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+// A build or dispatch change that silently fell back to the portable
+// compressor would keep every digest right and lose the speed; pin the
+// choice to what cpuid reports.
+TEST(Sha256, DispatchSelectsShaNiWhenCpuHasIt) {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  const bool has_sha_ni =
+      __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+#else
+  const bool has_sha_ni = false;
+#endif
+  EXPECT_EQ(detail::cpu_has_sha_ni(), has_sha_ni);
+#if defined(__x86_64__) || defined(__i386__)
+  if (has_sha_ni) {
+    EXPECT_EQ(detail::sha256_compressor(), &detail::sha256_compress_shani);
+    return;
+  }
+#endif
+  EXPECT_EQ(detail::sha256_compressor(), &detail::sha256_compress_portable);
 }
 
 TEST(Sha256, ShortHexPrefix) {
