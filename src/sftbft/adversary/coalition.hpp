@@ -2,7 +2,7 @@
 //
 // The paper's adversary is a single entity controlling up to c replicas
 // (Sec. 2, "the adversary corrupts..."), not c independent gamblers. The
-// Coalition gives the per-replica Byzantine engines that shared identity:
+// Coalition gives the per-replica Byzantine plug-ins that shared identity:
 //
 //  * membership — who is corrupted (the auditor and benches read the ground
 //    truth from here rather than re-deriving it from fault lists);
@@ -14,7 +14,8 @@
 //    messages withheld/suppressed, for the bench tables.
 //
 // One Coalition instance is created by engine::Deployment when the fault
-// list names any Byzantine replica and handed to every Byzantine engine.
+// list names any Byzantine replica and handed to every Byzantine replica's
+// adversary::ByzantinePlugin.
 #pragma once
 
 #include <cstdint>

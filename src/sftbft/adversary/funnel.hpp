@@ -1,9 +1,8 @@
-// OutboundFunnel: the strategy-filtered delivery path shared by every
-// Byzantine engine. Protocol engines keep only their message *crafting*
-// (twin proposals, forged votes); the delivery policy — SelectiveSender
-// drops, WithholdRelease delays certificate carriers, Coalition accounting
-// for both — lives here once, so a fix or a new delivery strategy lands in
-// one place for both protocols. Since both stacks speak the same byte-level
+// OutboundFunnel: the strategy-filtered delivery path of every Byzantine
+// replica (the send-path half of adversary::ByzantinePlugin; the other half
+// crafts twin proposals and forged votes). The delivery policy —
+// SelectiveSender drops, WithholdRelease delays certificate carriers,
+// Coalition accounting for both — lives here once, for every protocol. Since both stacks speak the same byte-level
 // transport, the funnel is a plain class over net::Envelope, not a
 // per-message-type template.
 #pragma once
@@ -20,7 +19,7 @@ namespace sftbft::adversary {
 class OutboundFunnel {
  public:
   /// `fault` and `coalition` must outlive the funnel (both are members of
-  /// the owning Byzantine engine / shared deployment state).
+  /// the owning replica host / shared deployment state).
   OutboundFunnel(ReplicaId id, net::Transport& transport,
                  const engine::FaultSpec& fault, Coalition& coalition)
       : id_(id), transport_(transport), fault_(fault), coalition_(coalition) {}

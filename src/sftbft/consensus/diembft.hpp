@@ -4,7 +4,7 @@
 // DiemBFT is the kernel's reference protocol: its Fig. 2 voting rule
 // (vote for a round-r block iff r > r_vote and parent.round >= r_lock),
 // 2-chain locking rule, and consecutive-round 3-chain commit rule are the
-// kernel defaults, so diembft_rules() is the empty rule set. Compare
+// kernel defaults, so its rule set is core::ChainedRules{}. Compare
 // hotstuff::rules(), which swaps in the original HotStuff liveness rule —
 // everything else (message flow, SFT strong-votes, Sec.-5 logs, storage,
 // sync) is shared kernel machinery, which is the paper's genericity claim
@@ -31,9 +31,5 @@ using EndorsementTracker = core::StrengthTracker;
 
 /// A DiemBFT replica core is the chained kernel running the default rules.
 using DiemBftCore = core::ChainedCore;
-
-/// DiemBFT's rule set: the kernel defaults (null slots select the Fig. 2
-/// rules implemented in core::ChainedCore).
-[[nodiscard]] core::ChainedRules diembft_rules();
 
 }  // namespace sftbft::consensus

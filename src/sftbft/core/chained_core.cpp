@@ -483,10 +483,7 @@ bool diembft_safe_to_vote(const Block& block, const SafetyRules& safety,
 
 bool ChainedCore::safe_to_vote(const Block& block) const {
   if (!safety_.can_vote(block)) return false;
-  const auto rule = config_.rules.safe_to_vote != nullptr
-                        ? config_.rules.safe_to_vote
-                        : &diembft_safe_to_vote;
-  return rule(block, safety_, tree_);
+  return config_.rules.safe_to_vote(block, safety_, tree_);
 }
 
 void ChainedCore::maybe_vote(const Block& block) {

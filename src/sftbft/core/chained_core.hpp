@@ -8,8 +8,8 @@
 // (SyncClient), and the audit tap. Concrete protocols are thin rule sets
 // over this kernel:
 //
-//   * DiemBFT (consensus::diembft_rules — the kernel default): Fig. 2
-//     voting rule, parent.round >= r_lock;
+//   * DiemBFT (the default ChainedRules{}): Fig. 2 voting rule,
+//     parent.round >= r_lock;
 //   * chained HotStuff (hotstuff::rules): the original HotStuff liveness
 //     rule — vote iff the block extends the locked block OR its QC ranks
 //     higher than the lock.
@@ -26,8 +26,8 @@
 // protocol-vs-protocol comparisons in bench/ apples-to-apples.
 //
 // The core is transport-agnostic: outbound traffic goes through Hooks, and
-// inbound messages are fed to on_proposal / on_vote / on_timeout_msg. The
-// replica module wires it to the network with the protocol's wire tags.
+// inbound messages are fed to on_proposal / on_vote / on_timeout_msg.
+// engine::ReplicaHost wires it to the network with the protocol's wire tags.
 #pragma once
 
 #include <functional>
@@ -67,26 +67,24 @@ enum class CoreMode {
   SftIntervals,  ///< SFT with interval votes (Sec. 3.4)
 };
 
-/// The protocol-specific rule slots of the chained kernel. A protocol is a
-/// named set of predicates over kernel state; everything else (message
-/// flow, aggregation, commit machinery) is shared.
-struct ChainedRules {
-  const char* name = "diembft";
-  /// Locking check of the voting rule, evaluated after the universal
-  /// SafetyRules preconditions (r > r_vote, rounds increase). Null = the
-  /// DiemBFT Fig. 2 rule (diembft_safe_to_vote below), the kernel's
-  /// reference protocol.
-  bool (*safe_to_vote)(const types::Block& block, const SafetyRules& safety,
-                       const chain::BlockTree& tree) = nullptr;
-};
-
 /// DiemBFT's Fig. 2 locking check — the kernel's default rule: the parent
 /// (whose round the embedded QC carries) must be at least as recent as the
-/// lock. Exported so consensus::diembft_rules() can name it explicitly and
-/// tests can exercise it directly; there is exactly one implementation.
+/// lock. Exported so tests can exercise it directly.
 [[nodiscard]] bool diembft_safe_to_vote(const types::Block& block,
                                         const SafetyRules& safety,
                                         const chain::BlockTree& tree);
+
+/// The protocol-specific rule slots of the chained kernel. A protocol is a
+/// named set of predicates over kernel state; everything else (message
+/// flow, aggregation, commit machinery) is shared. The defaults are
+/// DiemBFT, the kernel's reference protocol.
+struct ChainedRules {
+  const char* name = "diembft";
+  /// Locking check of the voting rule, evaluated after the universal
+  /// SafetyRules preconditions (r > r_vote, rounds increase).
+  bool (*safe_to_vote)(const types::Block& block, const SafetyRules& safety,
+                       const chain::BlockTree& tree) = &diembft_safe_to_vote;
+};
 
 struct CoreConfig {
   ReplicaId id = 0;
@@ -143,6 +141,8 @@ struct CoreConfig {
 
 class ChainedCore {
  public:
+  using Config = CoreConfig;
+
   struct Hooks {
     std::function<void(ReplicaId to, const types::Vote&)> send_vote;
     std::function<void(const types::Proposal&)> broadcast_proposal;

@@ -2,9 +2,9 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
-#include "sftbft/adversary/byzantine_replica.hpp"
-#include "sftbft/adversary/byzantine_streamlet.hpp"
+#include "sftbft/hotstuff/hotstuff.hpp"
 
 namespace sftbft::engine {
 
@@ -15,9 +15,15 @@ namespace {
                          protocol_name(have) + ", not " + want);
 }
 
-/// The typed escape hatches downcast to the honest adapter classes; a
-/// Byzantine slot holds an adversary engine instead, so the cast would be
-/// undefined behaviour — refuse it explicitly.
+/// The rule set of a chained protocol (the DiemBFT rules are the kernel
+/// defaults).
+core::ChainedRules chained_rules_for(Protocol protocol) {
+  return protocol == Protocol::HotStuff ? hotstuff::rules()
+                                        : core::ChainedRules{};
+}
+
+/// A Byzantine slot's core runs behind the adversary plug-in: its state is
+/// not an honest replica's, so the honest-core escape hatches refuse it.
 void require_honest_slot(const ConsensusEngine& engine, ReplicaId id) {
   if (engine.fault().kind == FaultSpec::Kind::Byzantine) {
     throw std::logic_error("replica " + std::to_string(id) +
@@ -52,27 +58,6 @@ Deployment::Deployment(DeploymentConfig config, CommitObserver observer,
     return id < config_.faults.size() ? config_.faults[id]
                                       : FaultSpec::honest();
   };
-  auto qc_tap_for = [&taps](ReplicaId id) -> replica::Replica::QcTap {
-    if (!taps.canonical_qc) return nullptr;
-    return [id, tap = taps.canonical_qc](const types::Block& block,
-                                         const types::QuorumCert& qc) {
-      tap(id, block, qc);
-    };
-  };
-  auto block_tap_for = [&taps](ReplicaId id) -> StreamletEngine::BlockTap {
-    if (!taps.block_seen) return nullptr;
-    return [id, tap = taps.block_seen](const types::Block& block) {
-      tap(id, block);
-    };
-  };
-  auto vote_tap_for = [&taps](ReplicaId id) -> StreamletEngine::VoteTap {
-    if (!taps.vote_seen) return nullptr;
-    return [id, tap = taps.vote_seen](const streamlet::SVote& vote) {
-      tap(id, core::VoteSeen{vote.block_id, vote.round, vote.height,
-                             vote.voter, vote.marker});
-    };
-  };
-
   // One byte-level transport for every protocol. Seed derivations are kept
   // per protocol (0xabcd / 0x51ee7 network streams match the historical
   // per-protocol SimNetwork seeds; HotStuff gets its own stream) so
@@ -119,44 +104,29 @@ Deployment::Deployment(DeploymentConfig config, CommitObserver observer,
     return dcfg;
   };
 
+  // One host type per protocol family; everything but the core config is
+  // shared, Byzantine replicas included.
   Rng workload_rng(config_.seed ^ 0x77aa);
-  if (is_chained(config_.protocol)) {
-    for (ReplicaId id = 0; id < config_.n; ++id) {
-      consensus::CoreConfig core = config_.chained;
+  for (ReplicaId id = 0; id < config_.n; ++id) {
+    const FaultSpec fault = fault_for(id);
+    auto add_host = [&](auto core) {
+      using Host = std::conditional_t<
+          std::is_same_v<decltype(core), consensus::CoreConfig>, ChainedHost,
+          StreamletHost>;
       core.id = id;
       core.n = config_.n;
       core.observer = observer_.get();
-      const FaultSpec fault = fault_for(id);
-      if (fault.kind == FaultSpec::Kind::Byzantine) {
-        engines_.push_back(std::make_unique<adversary::ByzantineReplica>(
-            config_.protocol, core, *transport_, registry_, config_.workload,
-            workload_rng.fork(), fault, coalition_, qc_tap_for(id),
-            dissem_for(id)));
-        continue;
-      }
-      engines_.push_back(std::make_unique<ChainedEngine>(
+      engines_.push_back(std::make_unique<Host>(
           config_.protocol, core, *transport_, registry_, config_.workload,
-          workload_rng.fork(), fault, observer, make_store(id, fault),
-          qc_tap_for(id), dissem_for(id)));
-    }
-  } else {
-    for (ReplicaId id = 0; id < config_.n; ++id) {
-      streamlet::StreamletConfig core = config_.streamlet;
-      core.id = id;
-      core.n = config_.n;
-      core.observer = observer_.get();
-      const FaultSpec fault = fault_for(id);
-      if (fault.kind == FaultSpec::Kind::Byzantine) {
-        engines_.push_back(std::make_unique<adversary::ByzantineStreamlet>(
-            core, *transport_, registry_, config_.workload,
-            workload_rng.fork(), fault, coalition_, block_tap_for(id),
-            vote_tap_for(id), dissem_for(id)));
-        continue;
-      }
-      engines_.push_back(std::make_unique<StreamletEngine>(
-          core, *transport_, registry_, config_.workload,
-          workload_rng.fork(), fault, observer, make_store(id, fault),
-          block_tap_for(id), vote_tap_for(id), dissem_for(id)));
+          workload_rng.fork(), fault, observer, make_store(id, fault), taps,
+          dissem_for(id), coalition_));
+    };
+    if (is_chained(config_.protocol)) {
+      consensus::CoreConfig core = config_.chained;
+      core.rules = chained_rules_for(config_.protocol);
+      add_host(core);
+    } else {
+      add_host(config_.streamlet);
     }
   }
 }
@@ -166,7 +136,8 @@ Deployment::~Deployment() = default;
 storage::ReplicaStore* Deployment::make_store(ReplicaId id,
                                               const FaultSpec& fault) {
   const bool wants_store =
-      config_.persist_all || fault.kind == FaultSpec::Kind::CrashRestart;
+      fault.kind != FaultSpec::Kind::Byzantine &&
+      (config_.persist_all || fault.kind == FaultSpec::Kind::CrashRestart);
   if (!wants_store) return nullptr;
   // Per-replica backend, independently seeded: torn-tail draws at one
   // replica's crash never perturb another's stream.
@@ -203,20 +174,12 @@ std::uint32_t Deployment::honest_count() const {
   return honest;
 }
 
-replica::Replica& Deployment::chained_replica(ReplicaId id) {
-  if (!is_chained(config_.protocol)) {
-    wrong_protocol("a chained protocol", config_.protocol);
-  }
-  require_honest_slot(*engines_[id], id);
-  return static_cast<ChainedEngine&>(*engines_[id]).replica();
-}
-
 core::ChainedCore& Deployment::chained_core(ReplicaId id) {
   if (!is_chained(config_.protocol)) {
     wrong_protocol("a chained protocol", config_.protocol);
   }
   require_honest_slot(*engines_[id], id);
-  return static_cast<ChainedEngine&>(*engines_[id]).core();
+  return static_cast<ChainedHost&>(*engines_[id]).core();
 }
 
 const core::ChainedCore& Deployment::chained_core(ReplicaId id) const {
@@ -224,7 +187,7 @@ const core::ChainedCore& Deployment::chained_core(ReplicaId id) const {
     wrong_protocol("a chained protocol", config_.protocol);
   }
   require_honest_slot(*engines_[id], id);
-  return static_cast<const ChainedEngine&>(*engines_[id]).core();
+  return static_cast<const ChainedHost&>(*engines_[id]).core();
 }
 
 streamlet::StreamletCore& Deployment::streamlet_core(ReplicaId id) {
@@ -232,7 +195,7 @@ streamlet::StreamletCore& Deployment::streamlet_core(ReplicaId id) {
     wrong_protocol("streamlet", config_.protocol);
   }
   require_honest_slot(*engines_[id], id);
-  return static_cast<StreamletEngine&>(*engines_[id]).core();
+  return static_cast<StreamletHost&>(*engines_[id]).core();
 }
 
 const streamlet::StreamletCore& Deployment::streamlet_core(
@@ -241,7 +204,7 @@ const streamlet::StreamletCore& Deployment::streamlet_core(
     wrong_protocol("streamlet", config_.protocol);
   }
   require_honest_slot(*engines_[id], id);
-  return static_cast<const StreamletEngine&>(*engines_[id]).core();
+  return static_cast<const StreamletHost&>(*engines_[id]).core();
 }
 
 }  // namespace sftbft::engine

@@ -20,11 +20,11 @@
 #include <vector>
 
 #include "sftbft/adversary/coalition.hpp"
+#include "sftbft/consensus/diembft.hpp"
 #include "sftbft/core/audit.hpp"
 #include "sftbft/dissem/config.hpp"
-#include "sftbft/engine/chained_engine.hpp"
 #include "sftbft/engine/engine.hpp"
-#include "sftbft/engine/streamlet_engine.hpp"
+#include "sftbft/engine/replica_host.hpp"
 #include "sftbft/net/sim_transport.hpp"
 #include "sftbft/obs/observer.hpp"
 #include "sftbft/sim/scheduler.hpp"
@@ -43,7 +43,7 @@ struct DeploymentConfig {
   Protocol protocol = Protocol::DiemBft;
   std::uint32_t n = 4;
   /// Template for every chained-kernel replica's core config (id/n filled
-  /// in per replica; the protocol's rule set is stamped by the engine).
+  /// in per replica; the protocol's rule set is stamped by the Deployment).
   /// Used when is_chained(protocol) — i.e. DiemBFT and HotStuff share one
   /// knob surface, which is what keeps their comparisons honest.
   consensus::CoreConfig chained;
@@ -155,17 +155,13 @@ class Deployment {
     return observer_.get();
   }
 
-  // Protocol-typed escape hatches. Calling a mismatched accessor throws
-  // std::logic_error — tests that need kernel internals (light-client
-  // proofs, strength/endorsement state) use these. The chained accessors
-  // serve both DiemBFT and HotStuff deployments; diem_* are the historical
-  // names for the same thing.
-  [[nodiscard]] replica::Replica& chained_replica(ReplicaId id);
+  // Protocol-typed escape hatches. Calling a mismatched accessor, or one
+  // on a Byzantine slot, throws std::logic_error — tests that need kernel
+  // internals (light-client proofs, strength/endorsement state) use these.
+  // The chained accessors serve both DiemBFT and HotStuff deployments;
+  // diem_core is the historical name for the same thing.
   [[nodiscard]] core::ChainedCore& chained_core(ReplicaId id);
   [[nodiscard]] const core::ChainedCore& chained_core(ReplicaId id) const;
-  [[nodiscard]] replica::Replica& diem_replica(ReplicaId id) {
-    return chained_replica(id);
-  }
   [[nodiscard]] consensus::DiemBftCore& diem_core(ReplicaId id) {
     return chained_core(id);
   }
@@ -178,6 +174,8 @@ class Deployment {
 
  private:
   /// Builds (or skips) the durable store for one replica, pre-engine.
+  /// Byzantine replicas never get one (they have no honest state to
+  /// recover).
   [[nodiscard]] storage::ReplicaStore* make_store(ReplicaId id,
                                                   const FaultSpec& fault);
 

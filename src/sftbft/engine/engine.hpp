@@ -6,10 +6,12 @@
 //
 // An engine owns one replica's full stack (consensus core + mempool +
 // workload + fault model) and is wired to a simulated network by a
-// Deployment. The interface covers what the harness, benches, and tests
-// need uniformly: lifecycle (start/stop), commit notifications (via the
-// Deployment's CommitObserver), ledger access, and inbound-bandwidth
-// metrics. Protocol-specific internals stay reachable through the
+// Deployment. There is one implementation, engine::ReplicaHost
+// (replica_host.hpp), instantiated per core type; every fault kind,
+// Byzantine included, runs inside it. The interface covers what the
+// harness, benches, and tests need uniformly: lifecycle (start/stop),
+// commit notifications (via the Deployment's CommitObserver), ledger
+// access, and inbound-bandwidth metrics. Protocol-specific internals stay reachable through the
 // Deployment's typed escape hatches (chained_core / streamlet_core).
 #pragma once
 

@@ -55,7 +55,7 @@ enum class WireType : std::uint8_t {
 };
 
 /// The tag set one chained-kernel replica speaks (DiemBFT or HotStuff
-/// protocol instance; see replica::Replica).
+/// protocol instance; see engine::ReplicaHost).
 struct ChainedWireSet {
   WireType proposal = WireType::kProposal;
   WireType vote = WireType::kVote;

@@ -187,6 +187,8 @@ using SMessage = std::variant<SProposal, SVote, SSyncRequest, SSyncResponse>;
 
 class StreamletCore {
  public:
+  using Config = StreamletConfig;
+
   struct Hooks {
     std::function<void(const SProposal&)> broadcast_proposal;
     std::function<void(const SVote&)> broadcast_vote;

@@ -236,16 +236,27 @@ TEST(AdversaryTest, SelectiveSenderSuppressesWithoutBreakingSafety) {
 }
 
 TEST(AdversaryTest, HonestCoreEscapeHatchesRefuseByzantineSlots) {
-  engine::DeploymentConfig config;
-  config.n = 4;
-  config.topology = net::Topology::uniform(4, millis(1));
-  config.faults = {FaultSpec::honest(),
-                   FaultSpec::byzantine({Strategy::AmnesiaVoter})};
-  Deployment deployment(std::move(config));
-  EXPECT_NO_THROW(deployment.diem_core(0));
-  EXPECT_THROW(deployment.diem_core(1), std::logic_error);
-  EXPECT_THROW(deployment.engine(1).restart(), std::logic_error);
-  EXPECT_EQ(deployment.honest_count(), 3u);
+  for (const Protocol protocol : engine::kAllProtocols) {
+    SCOPED_TRACE(engine::protocol_name(protocol));
+    engine::DeploymentConfig config;
+    config.protocol = protocol;
+    config.n = 4;
+    config.topology = net::Topology::uniform(4, millis(1));
+    config.faults = {FaultSpec::honest(),
+                     FaultSpec::byzantine({Strategy::AmnesiaVoter})};
+    Deployment deployment(std::move(config));
+    const auto honest_core = [&](ReplicaId id) {
+      if (engine::is_chained(protocol)) {
+        (void)deployment.chained_core(id);
+      } else {
+        (void)deployment.streamlet_core(id);
+      }
+    };
+    EXPECT_NO_THROW(honest_core(0));
+    EXPECT_THROW(honest_core(1), std::logic_error);
+    EXPECT_THROW(deployment.engine(1).restart(), std::logic_error);
+    EXPECT_EQ(deployment.honest_count(), 3u);
+  }
 }
 
 TEST(AdversaryTest, ScenarioPlacementKeepsTheMetricsAnchorHonest) {

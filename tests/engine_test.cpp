@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
+#include "sftbft/dissem/batch.hpp"
 #include "sftbft/engine/deployment.hpp"
 #include "sftbft/harness/scenario.hpp"
 
@@ -16,6 +18,8 @@ using engine::Deployment;
 using engine::DeploymentConfig;
 using engine::FaultSpec;
 using engine::Protocol;
+using net::Envelope;
+using net::WireType;
 
 /// One 4-replica crash-fault scenario, shared verbatim by both engines:
 /// replica 3 crashes at t = 2s, the rest keep committing.
@@ -171,6 +175,54 @@ TEST(Engine, EnginesReportProtocolAndInboundBandwidth) {
   EXPECT_GT(e.current_round(), 0u);
   EXPECT_GT(e.inbound_bytes(), 0u);
   EXPECT_GE(e.inbound_bytes(), e.inbound_messages());  // every msg >= 1 byte
+}
+
+TEST(Engine, DemuxDropsUnparseableFramesOnEveryEngine) {
+  // One inbound demux serves every engine, honest or Byzantine: a frame it
+  // cannot parse counts exactly one decode drop and changes nothing else.
+  constexpr ReplicaId kTarget = 1;
+  for (const Protocol protocol : engine::kAllProtocols) {
+    for (const bool byzantine : {false, true}) {
+      SCOPED_TRACE(std::string(engine::protocol_name(protocol)) +
+                   (byzantine ? " byzantine" : " honest"));
+      harness::Scenario s = crash_scenario(protocol);
+      s.faults.assign(4, FaultSpec::honest());
+      if (byzantine) {
+        s.faults[kTarget] =
+            FaultSpec::byzantine({adversary::Strategy::AmnesiaVoter});
+      }
+      ASSERT_FALSE(s.dissemination);
+      Deployment deployment(s.to_deployment_config());
+      deployment.start();
+      deployment.run_for(seconds(2));
+
+      const WireType own_proposal =
+          protocol == Protocol::Streamlet  ? WireType::kSProposal
+          : protocol == Protocol::HotStuff ? WireType::kHProposal
+                                           : WireType::kProposal;
+      // A well-formed proposal under another stack's tag.
+      const WireType foreign = protocol == Protocol::DiemBft
+                                   ? WireType::kHProposal
+                                   : WireType::kProposal;
+      const Envelope frames[] = {
+          Envelope::pack(foreign, 0, types::Proposal{}),
+          Envelope::pack(WireType::kBatchPush, 0, dissem::BatchPush{}),
+          Envelope{own_proposal, 0, Bytes{0xde, 0xad, 0xbe, 0xef}},
+      };
+      for (const Envelope& frame : frames) {
+        const std::uint64_t drops = deployment.net_stats().decode_drops();
+        deployment.transport().send(kTarget, frame);
+        deployment.run_for(millis(100));
+        EXPECT_EQ(deployment.net_stats().decode_drops(), drops + 1)
+            << net::wire_type_name(frame.type);
+      }
+
+      const std::uint64_t committed =
+          deployment.ledger(kTarget).committed_blocks();
+      deployment.run_for(seconds(2));
+      EXPECT_GT(deployment.ledger(kTarget).committed_blocks(), committed);
+    }
+  }
 }
 
 TEST(Engine, FbftBaselineRejectedOffDiemBft) {

@@ -133,12 +133,14 @@ TEST(Recovery, BothEnginesRunChurnWithoutConflicts) {
 }
 
 TEST(Recovery, RestartWithoutStoreRefuses) {
-  auto config = small_cluster(Protocol::DiemBft, 4);
-  Deployment cluster(config);
-  cluster.start();
-  cluster.run_for(seconds(1));
-  EXPECT_EQ(cluster.store(0), nullptr);
-  EXPECT_THROW(cluster.engine(0).restart(), std::logic_error);
+  for (const Protocol protocol : engine::kAllProtocols) {
+    Deployment cluster(small_cluster(protocol, 4));
+    cluster.start();
+    cluster.run_for(seconds(1));
+    EXPECT_EQ(cluster.store(0), nullptr) << engine::protocol_name(protocol);
+    EXPECT_THROW(cluster.engine(0).restart(), std::logic_error)
+        << engine::protocol_name(protocol);
+  }
 }
 
 // Satellite: the adversarial-replay regression. A recovered replica whose
