@@ -1,6 +1,8 @@
 #include "sftbft/dissem/admission.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "sftbft/obs/observer.hpp"
 
@@ -42,6 +44,19 @@ void note_outcome(const DissemConfig& config, AdmissionFrontend::Outcome out,
 
 }  // namespace
 
+std::uint64_t client_txn_id(std::uint64_t space, std::uint64_t client,
+                            std::uint64_t seq) {
+  if (client >= kMaxClients) {
+    throw std::invalid_argument("client " + std::to_string(client) +
+                                " does not fit in the txn id layout");
+  }
+  if (seq >> kClientSeqBits != 0) {
+    throw std::overflow_error("txn id sequence exhausted for client " +
+                              std::to_string(client));
+  }
+  return mempool::txn_id(space, (client << kClientSeqBits) | seq);
+}
+
 AdmissionFrontend::AdmissionFrontend(mempool::Mempool& pool,
                                      DissemConfig config)
     : pool_(pool), config_(config) {
@@ -59,7 +74,8 @@ AdmissionFrontend::Outcome AdmissionFrontend::submit(std::uint64_t client,
 AdmissionFrontend::Outcome AdmissionFrontend::classify(std::uint64_t client,
                                                        types::Transaction txn,
                                                        SimTime now) {
-  ClientState& state = clients_[client];
+  ClientState& state =
+      clients_.try_emplace(client, config_.client_dedup_window).first->second;
 
   if (state.recent.contains(txn.id)) {
     ++stats_.duplicates;
@@ -89,12 +105,7 @@ AdmissionFrontend::Outcome AdmissionFrontend::classify(std::uint64_t client,
   }
 
   ++state.window_used;
-  state.recent.insert(txn.id);
-  state.recent_order.push_back(txn.id);
-  while (state.recent_order.size() > config_.client_dedup_window) {
-    state.recent.erase(state.recent_order.front());
-    state.recent_order.pop_front();
-  }
+  state.recent.push(txn.id);
   ++stats_.admitted;
   return Outcome::kAdmitted;
 }
@@ -107,7 +118,18 @@ ClientSwarm::ClientSwarm(sim::Scheduler& sched, AdmissionFrontend& frontend,
       workload_(workload),
       config_(config),
       rng_(rng),
-      client_seq_(std::max<std::uint32_t>(1, config.clients), 0) {}
+      client_seq_(std::max<std::uint32_t>(1, config.clients), 0) {
+  if (client_seq_.size() > kMaxClients) {
+    throw std::invalid_argument(
+        "ClientSwarm: " + std::to_string(config.clients) +
+        " clients exceed the txn id layout's " + std::to_string(kMaxClients));
+  }
+}
+
+void ClientSwarm::set_id_space(std::uint64_t space) {
+  (void)mempool::txn_id(space, 0);  // validates the space
+  id_space_ = space;
+}
 
 void ClientSwarm::top_up() {
   const std::uint32_t clients =
@@ -118,9 +140,8 @@ void ClientSwarm::top_up() {
   while (frontend_.backlog() < workload_.target_pool_size) {
     const std::uint32_t client = next_client_;
     next_client_ = (next_client_ + 1) % clients;
-    const std::uint64_t id = (id_space_ << 40) |
-                             (static_cast<std::uint64_t>(client) << 26) |
-                             client_seq_[client]++;
+    const std::uint64_t id =
+        client_txn_id(id_space_, client, client_seq_[client]++);
     const auto outcome = frontend_.submit(
         client,
         types::Transaction{.id = id,

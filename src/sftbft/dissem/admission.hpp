@@ -16,11 +16,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "sftbft/common/id_set.hpp"
 #include "sftbft/common/rng.hpp"
 #include "sftbft/common/types.hpp"
 #include "sftbft/dissem/config.hpp"
@@ -28,6 +27,17 @@
 #include "sftbft/sim/scheduler.hpp"
 
 namespace sftbft::dissem {
+
+/// Client transaction ids split mempool::txn_id's 40-bit sequence into
+/// (client << 26) | seq: at most 2^14 clients per replica, 2^26 ids per
+/// client. Throws std::invalid_argument for a client or space out of range
+/// and std::overflow_error once `seq` leaves its 26 bits, rather than
+/// alias another client's ids.
+inline constexpr unsigned kClientSeqBits = 26;
+inline constexpr std::uint64_t kMaxClients =
+    std::uint64_t{1} << (mempool::kIdSpaceShift - kClientSeqBits);
+std::uint64_t client_txn_id(std::uint64_t space, std::uint64_t client,
+                            std::uint64_t seq);
 
 class AdmissionFrontend {
  public:
@@ -59,9 +69,10 @@ class AdmissionFrontend {
   Outcome classify(std::uint64_t client, types::Transaction txn, SimTime now);
 
   struct ClientState {
+    explicit ClientState(std::size_t window) : recent(window) {}
+
     /// Recently admitted ids, FIFO-bounded to client_dedup_window.
-    std::unordered_set<std::uint64_t> recent;
-    std::deque<std::uint64_t> recent_order;
+    IdWindow recent;
     /// Token-bucket window (one second, client_rate_limit tokens).
     SimTime window_start = 0;
     std::uint32_t window_used = 0;
@@ -76,12 +87,13 @@ class AdmissionFrontend {
 /// The simulated submitter population behind one replica's frontend.
 class ClientSwarm {
  public:
+  /// Throws std::invalid_argument for more than kMaxClients clients.
   ClientSwarm(sim::Scheduler& sched, AdmissionFrontend& frontend,
               mempool::WorkloadConfig workload, DissemConfig config, Rng rng);
 
   /// Disjoint per-replica id space (call with the replica id, like
-  /// WorkloadGenerator::set_id_space).
-  void set_id_space(std::uint64_t space) { id_space_ = space; }
+  /// WorkloadGenerator::set_id_space, which also validates it).
+  void set_id_space(std::uint64_t space);
 
   /// Synchronously refills the backlog to the workload target.
   void top_up();

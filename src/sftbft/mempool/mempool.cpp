@@ -1,24 +1,30 @@
 #include "sftbft/mempool/mempool.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace sftbft::mempool {
 
+std::uint64_t txn_id(std::uint64_t space, std::uint64_t seq) {
+  if (space >> (64 - kIdSpaceShift) != 0) {
+    throw std::invalid_argument("txn id space " + std::to_string(space) +
+                                " does not fit in 24 bits");
+  }
+  if (seq >> kIdSpaceShift != 0) {
+    throw std::overflow_error("txn id sequence exhausted in space " +
+                              std::to_string(space));
+  }
+  return (space << kIdSpaceShift) | seq;
+}
+
 Mempool::Admit Mempool::submit(types::Transaction txn) {
-  if (known_.contains(txn.id) || committed_set_.contains(txn.id)) {
+  if (known_.contains(txn.id) || committed_.contains(txn.id)) {
     return Admit::kDuplicate;
   }
   if (capacity_ != 0 && queue_.size() >= capacity_) return Admit::kFull;
   known_.insert(txn.id);
   queue_.push_back(std::move(txn));
   return Admit::kAccepted;
-}
-
-void Mempool::remember_committed(std::uint64_t id) {
-  if (!committed_set_.insert(id).second) return;
-  committed_order_.push_back(id);
-  while (committed_order_.size() > kCommittedMemory) {
-    committed_set_.erase(committed_order_.front());
-    committed_order_.pop_front();
-  }
 }
 
 types::Payload Mempool::make_batch(std::size_t max_txns) {
@@ -38,13 +44,13 @@ void Mempool::mark_committed(const types::Payload& payload) {
   for (const types::Transaction& txn : payload.txns) {
     in_flight_.erase(txn.id);
     known_.erase(txn.id);
-    remember_committed(txn.id);
+    committed_.push(txn.id);
   }
 }
 
 void Mempool::requeue(const types::Payload& payload) {
   for (const types::Transaction& txn : payload.txns) {
-    if (in_flight_.erase(txn.id) > 0) {
+    if (in_flight_.erase(txn.id)) {
       queue_.push_back(txn);
     }
   }
@@ -53,6 +59,19 @@ void Mempool::requeue(const types::Payload& payload) {
 WorkloadGenerator::WorkloadGenerator(sim::Scheduler& sched, Mempool& pool,
                                      WorkloadConfig config, Rng rng)
     : sched_(sched), pool_(pool), config_(config), rng_(rng) {}
+
+void WorkloadGenerator::set_id_space(std::uint64_t space) {
+  (void)txn_id(space, 0);  // validates the space
+  id_space_ = space;
+}
+
+types::Transaction WorkloadGenerator::next_txn() {
+  const std::uint64_t id = txn_id(id_space_, next_id_);
+  ++next_id_;
+  return {.id = id,
+          .submitted_at = sched_.now(),
+          .size_bytes = config_.txn_size_bytes};
+}
 
 void WorkloadGenerator::start() {
   if (config_.mean_interarrival > 0) schedule_next();
@@ -63,11 +82,7 @@ void WorkloadGenerator::schedule_next() {
       rng_.exponential(static_cast<double>(config_.mean_interarrival)));
   sched_.schedule_after(std::max<SimDuration>(wait, 1), [this] {
     if (pool_.pending() < config_.target_pool_size) {
-      pool_.submit(types::Transaction{
-          .id = (id_space_ << 40) | next_id_++,
-          .submitted_at = sched_.now(),
-          .size_bytes = config_.txn_size_bytes,
-      });
+      pool_.submit(next_txn());
     }
     schedule_next();
   });
@@ -75,11 +90,7 @@ void WorkloadGenerator::schedule_next() {
 
 void WorkloadGenerator::top_up() {
   while (pool_.pending() < config_.target_pool_size) {
-    const Mempool::Admit admit = pool_.submit(types::Transaction{
-        .id = (id_space_ << 40) | next_id_++,
-        .submitted_at = sched_.now(),
-        .size_bytes = config_.txn_size_bytes,
-    });
+    const Mempool::Admit admit = pool_.submit(next_txn());
     // A bounded pool below the target would otherwise spin here forever.
     if (admit == Mempool::Admit::kFull) break;
   }

@@ -9,8 +9,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
 
+#include "sftbft/common/id_set.hpp"
 #include "sftbft/common/rng.hpp"
 #include "sftbft/common/types.hpp"
 #include "sftbft/sim/scheduler.hpp"
@@ -18,8 +18,21 @@
 
 namespace sftbft::mempool {
 
+/// Transaction id layout: (space << 40) | seq, a 24-bit id space (the
+/// replica id) over a 40-bit sequence. ClientSwarm splits the sequence
+/// further (dissem::client_txn_id). A field out of range would silently
+/// alias another space's ids, so this throws instead: std::invalid_argument
+/// for the space, std::overflow_error for the sequence.
+inline constexpr unsigned kIdSpaceShift = 40;
+std::uint64_t txn_id(std::uint64_t space, std::uint64_t seq);
+
 class Mempool {
  public:
+  /// How many committed ids the dedup window remembers (FIFO eviction):
+  /// enough to cover every in-flight client retry horizon in the sims
+  /// without growing with ledger length.
+  static constexpr std::size_t kCommittedMemory = 1 << 14;
+
   /// Outcome of a submission — the mempool's backpressure signal.
   enum class Admit : std::uint8_t {
     kAccepted,   ///< queued
@@ -52,20 +65,12 @@ class Mempool {
   [[nodiscard]] std::size_t in_flight() const { return in_flight_.size(); }
 
  private:
-  void remember_committed(std::uint64_t id);
-
-  /// How many committed ids the dedup window remembers (FIFO eviction):
-  /// enough to cover every in-flight client retry horizon in the sims
-  /// without growing with ledger length.
-  static constexpr std::size_t kCommittedMemory = 1 << 14;
-
   std::deque<types::Transaction> queue_;
-  std::unordered_set<std::uint64_t> in_flight_;
+  IdSet in_flight_;
   /// Ids currently pending or in flight (the live dedup set).
-  std::unordered_set<std::uint64_t> known_;
-  /// Recently committed ids (bounded FIFO window).
-  std::unordered_set<std::uint64_t> committed_set_;
-  std::deque<std::uint64_t> committed_order_;
+  IdSet known_;
+  /// Recently committed ids.
+  IdWindow committed_{kCommittedMemory};
   std::size_t capacity_ = 0;
 };
 
@@ -93,6 +98,7 @@ class WorkloadGenerator {
 
  private:
   void schedule_next();
+  types::Transaction next_txn();
 
   sim::Scheduler& sched_;
   Mempool& pool_;
@@ -103,8 +109,9 @@ class WorkloadGenerator {
   std::uint64_t id_space_ = 0;
 
  public:
-  /// Assigns a disjoint id space (call with the replica id).
-  void set_id_space(std::uint64_t space) { id_space_ = space; }
+  /// Assigns a disjoint id space (call with the replica id). Throws
+  /// std::invalid_argument when `space` does not fit the id layout.
+  void set_id_space(std::uint64_t space);
 };
 
 }  // namespace sftbft::mempool

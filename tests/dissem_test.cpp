@@ -7,6 +7,8 @@
 // transactions with proposal frames a fraction of the inline-mode size.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sftbft/dissem/admission.hpp"
 #include "sftbft/dissem/batch.hpp"
 #include "sftbft/dissem/batch_store.hpp"
@@ -266,6 +268,57 @@ TEST(AdmissionFrontend, DedupsRetriesPerClient) {
   EXPECT_EQ(frontend.stats().duplicates, 1u);
 }
 
+// Commits everything pending, then pushes a full committed window of
+// foreign ids through the pool, so the mempool no longer remembers any of
+// this client's ids and only the frontend's per-client window decides.
+void forget_in_mempool(mempool::Mempool& pool) {
+  pool.mark_committed(pool.make_batch(pool.pending()));
+  types::Payload flood;
+  for (std::uint64_t i = 0; i < mempool::Mempool::kCommittedMemory; ++i) {
+    flood.txns.push_back(txn((std::uint64_t{1} << 50) + i));
+  }
+  pool.mark_committed(flood);
+}
+
+TEST(AdmissionFrontend, ClientWindowEvictsFifo) {
+  mempool::Mempool pool;
+  DissemConfig config;
+  config.client_dedup_window = 3;
+  AdmissionFrontend frontend(pool, config);
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    EXPECT_EQ(frontend.submit(1, txn(id), 0),
+              AdmissionFrontend::Outcome::kAdmitted);
+  }
+  forget_in_mempool(pool);
+  // The window holds the last three admissions {2, 3, 4}; 1 was evicted.
+  for (const std::uint64_t id : {4, 3, 2}) {
+    EXPECT_EQ(frontend.submit(1, txn(id), 0),
+              AdmissionFrontend::Outcome::kDuplicate);
+  }
+  EXPECT_EQ(frontend.submit(1, txn(1), 0), AdmissionFrontend::Outcome::kAdmitted);
+  // Re-admitting 1 pushed out the oldest entry, 2, and nothing else.
+  forget_in_mempool(pool);
+  EXPECT_EQ(frontend.submit(1, txn(3), 0), AdmissionFrontend::Outcome::kDuplicate);
+  EXPECT_EQ(frontend.submit(1, txn(2), 0), AdmissionFrontend::Outcome::kAdmitted);
+  // Windows are per client.
+  EXPECT_EQ(frontend.submit(2, txn(4), 0), AdmissionFrontend::Outcome::kAdmitted);
+}
+
+TEST(AdmissionFrontend, ZeroClientWindowRemembersNothing) {
+  mempool::Mempool pool;
+  DissemConfig config;
+  config.client_dedup_window = 0;
+  AdmissionFrontend frontend(pool, config);
+  EXPECT_EQ(frontend.submit(1, txn(5), 0), AdmissionFrontend::Outcome::kAdmitted);
+  // Still pending: the mempool's own dedup rejects the retry.
+  EXPECT_EQ(frontend.submit(1, txn(5), 0),
+            AdmissionFrontend::Outcome::kDuplicate);
+  forget_in_mempool(pool);
+  EXPECT_EQ(frontend.submit(1, txn(5), 0), AdmissionFrontend::Outcome::kAdmitted);
+  EXPECT_EQ(frontend.stats().admitted, 2u);
+  EXPECT_EQ(frontend.stats().duplicates, 1u);
+}
+
 TEST(AdmissionFrontend, RateLimitsPerClientPerSecond) {
   mempool::Mempool pool;
   DissemConfig config;
@@ -322,6 +375,37 @@ TEST(ClientSwarm, KeepsBacklogSaturated) {
   EXPECT_EQ(pool.pending(), 40u);
   EXPECT_EQ(frontend.stats().admitted, swarm.submitted());
   swarm.stop();
+}
+
+TEST(ClientSwarm, IdLayoutFailsLoudlyInsteadOfAliasing) {
+  constexpr std::uint64_t kSeqEnd = std::uint64_t{1} << kClientSeqBits;
+  EXPECT_EQ(kMaxClients, 1u << 14);
+  EXPECT_EQ(client_txn_id(2, kMaxClients - 1, kSeqEnd - 1),
+            (std::uint64_t{3} << 40) - 1);
+  // The 2^26th id of client c would be id 0 of client c + 1.
+  EXPECT_THROW((void)client_txn_id(2, 5, kSeqEnd), std::overflow_error);
+  // Client 2^14 would be client 0 of the next replica's space.
+  EXPECT_THROW((void)client_txn_id(2, kMaxClients, 0), std::invalid_argument);
+  EXPECT_THROW((void)client_txn_id(std::uint64_t{1} << 24, 0, 0),
+               std::invalid_argument);
+
+  sim::Scheduler sched;
+  mempool::Mempool pool;
+  DissemConfig config;
+  AdmissionFrontend frontend(pool, config);
+  const mempool::WorkloadConfig workload{.target_pool_size = 4};
+  config.clients = static_cast<std::uint32_t>(kMaxClients) + 1;
+  EXPECT_THROW(ClientSwarm(sched, frontend, workload, config, Rng(1)),
+               std::invalid_argument);
+  config.clients = static_cast<std::uint32_t>(kMaxClients);
+  ClientSwarm swarm(sched, frontend, workload, config, Rng(1));
+  EXPECT_THROW(swarm.set_id_space(std::uint64_t{1} << 24),
+               std::invalid_argument);
+  swarm.set_id_space(7);
+  swarm.top_up();
+  const types::Payload batch = pool.make_batch(4);
+  ASSERT_EQ(batch.txns.size(), 4u);
+  EXPECT_EQ(batch.txns[3].id, client_txn_id(7, 3, 0));
 }
 
 // ----------------------------------------------------- end-to-end (smoke)
