@@ -302,20 +302,28 @@ void BM_CertVerifyAggregateMemoized(benchmark::State& state) {
 }
 BENCHMARK(BM_CertVerifyAggregateMemoized)->Arg(16)->Arg(31)->Arg(100);
 
-/// Vote admission with a warm vote-MAC memo: the dedupe/revalidate path
-/// when the same vote arrives again (gossip, retransmit).
-void BM_VoteVerifyMemoized(benchmark::State& state) {
-  const SignedQcFixture fx(31);
-  crypto::VerifyCache cache(nullptr, 0);
-  const types::Vote& vote = fx.votes.front();
-  benchmark::DoNotOptimize(
-      fx.registry.verify(vote.sig, vote.signing_bytes(), &cache));
+/// One vote MAC under a precomputed key (crypto::HmacKey): what every
+/// signature check costs. Arg = message bytes (a vote's signing bytes are
+/// ~100 B; 300 B spans five 64-byte blocks).
+void BM_HmacKeyed(benchmark::State& state) {
+  const crypto::HmacKey key(make_bytes(32));
+  const Bytes msg = make_bytes(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fx.registry.verify(vote.sig, vote.signing_bytes(), &cache));
+    benchmark::DoNotOptimize(key.mac(msg));
   }
 }
-BENCHMARK(BM_VoteVerifyMemoized);
+BENCHMARK(BM_HmacKeyed)->Arg(100)->Arg(300);
+
+/// ...against one-shot HMAC, which absorbs key^ipad and key^opad again on
+/// every call (two extra compressions).
+void BM_HmacOneShot(benchmark::State& state) {
+  const Bytes key = make_bytes(32);
+  const Bytes msg = make_bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::hmac_sha256(key, msg));
+  }
+}
+BENCHMARK(BM_HmacOneShot)->Arg(100)->Arg(300);
 
 /// A paper-calibrated proposal: 100 transactions x 4.5 KB -> ~450 KB frame.
 types::Proposal make_block_proposal() {

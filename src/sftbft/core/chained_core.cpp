@@ -600,7 +600,7 @@ void ChainedCore::on_vote(const Vote& vote) {
   if (stopped_) return;
   if (config_.verify_signatures &&
       (vote.voter != vote.sig.signer ||
-       !registry_->verify(vote.sig, vote.signing_bytes(), &cache_))) {
+       !cache_.verify(*registry_, vote.sig, vote.signing_bytes()))) {
     return;
   }
   if (election_.leader_of(vote.round + 1) != config_.id) {
@@ -751,7 +751,7 @@ void ChainedCore::on_timeout_msg(const TimeoutMsg& msg) {
   if (stopped_) return;
   if (config_.verify_signatures &&
       (msg.sender != msg.sig.signer ||
-       !registry_->verify(msg.sig, msg.signing_bytes(), &cache_))) {
+       !cache_.verify(*registry_, msg.sig, msg.signing_bytes()))) {
     return;
   }
   if (!msg.high_qc.is_genesis()) {
@@ -799,7 +799,7 @@ bool ChainedCore::validate_proposal(const Proposal& proposal) const {
   }
   if (config_.verify_signatures) {
     if (proposal.sig.signer != block.proposer) return false;
-    if (!registry_->verify(proposal.sig, proposal.signing_bytes(), &cache_)) {
+    if (!cache_.verify(*registry_, proposal.sig, proposal.signing_bytes())) {
       return false;
     }
     if (!block.qc.verify(*registry_, config_.quorum(), &cache_)) return false;

@@ -302,8 +302,8 @@ class ChainedCore {
   CoreConfig config_;
   sim::Scheduler& sched_;
   std::shared_ptr<const crypto::KeyRegistry> registry_;
-  /// Verification memo for inbound votes and certificates (mutable: memo
-  /// lookups happen on const validation paths and never change semantics).
+  /// Certificate memo + vote-check counters (mutable: used on const
+  /// validation paths and never changes semantics).
   mutable crypto::VerifyCache cache_;
   crypto::Signer signer_;
   mempool::Mempool& pool_;

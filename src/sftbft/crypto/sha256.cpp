@@ -198,12 +198,12 @@ Sha256Digest Sha256::hash(BytesView data) {
   return ctx.finalize();
 }
 
-Sha256Digest hmac_sha256(BytesView key, BytesView message) {
+HmacKey::HmacKey(BytesView key) {
   std::array<std::uint8_t, 64> k_block{};
   if (key.size() > 64) {
     const Sha256Digest kd = Sha256::hash(key);
     std::memcpy(k_block.data(), kd.bytes.data(), kd.bytes.size());
-  } else {
+  } else if (!key.empty()) {
     std::memcpy(k_block.data(), key.data(), key.size());
   }
 
@@ -213,16 +213,25 @@ Sha256Digest hmac_sha256(BytesView key, BytesView message) {
     ipad[i] = static_cast<std::uint8_t>(k_block[i] ^ 0x36);
     opad[i] = static_cast<std::uint8_t>(k_block[i] ^ 0x5c);
   }
+  const detail::Sha256Compress compress = detail::sha256_compressor();
+  inner_ = detail::kSha256InitialState;
+  compress(inner_, ipad.data(), 1);
+  outer_ = detail::kSha256InitialState;
+  compress(outer_, opad.data(), 1);
+}
 
-  Sha256 inner;
-  inner.update(ipad);
+Sha256Digest HmacKey::mac(BytesView message) const {
+  Sha256 inner(inner_, 64);
   inner.update(message);
   const Sha256Digest inner_digest = inner.finalize();
 
-  Sha256 outer;
-  outer.update(opad);
+  Sha256 outer(outer_, 64);
   outer.update(inner_digest.bytes);
   return outer.finalize();
+}
+
+Sha256Digest hmac_sha256(BytesView key, BytesView message) {
+  return HmacKey(key).mac(message);
 }
 
 }  // namespace sftbft::crypto

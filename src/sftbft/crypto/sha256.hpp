@@ -1,9 +1,9 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
 // The library is dependency-free: block digests, vote digests and the HMAC
-// signature substrate all run on this implementation. The block compressor
-// is chosen once from cpuid: Intel SHA extensions (SHA-NI) when the CPU has
-// them, portable C++ otherwise (sha256_impl.hpp). Digests are identical on
+// signature substrate (HmacKey) all run on this implementation. The block
+// compressor is chosen once from cpuid: Intel SHA extensions (SHA-NI) when
+// the CPU has them, portable C++ otherwise (sha256_impl.hpp). Digests are identical on
 // both paths. tests/crypto_test.cpp runs the NIST/FIPS vectors through both
 // and checks the hardware path against the portable reference.
 #pragma once
@@ -38,6 +38,12 @@ class Sha256 {
   static Sha256Digest hash(BytesView data);
 
  private:
+  friend class HmacKey;
+  /// Resumes from a chaining state reached after `absorbed` bytes (a whole
+  /// number of 64-byte blocks).
+  Sha256(const std::array<std::uint32_t, 8>& state, std::uint64_t absorbed)
+      : state_(state), total_len_(absorbed) {}
+
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;
@@ -45,7 +51,23 @@ class Sha256 {
   bool finalized_ = false;
 };
 
-/// HMAC-SHA-256 (RFC 2104); verified against RFC 4231 vectors.
+/// HMAC-SHA-256 (RFC 2104) under one fixed key. Holds only the two SHA-256
+/// chaining states after absorbing key^ipad and key^opad, so each mac()
+/// compresses just the message blocks and one outer block; the output is
+/// the RFC 2104 value. Trivially copyable, no heap.
+class HmacKey {
+ public:
+  explicit HmacKey(BytesView key);
+
+  [[nodiscard]] Sha256Digest mac(BytesView message) const;
+
+ private:
+  std::array<std::uint32_t, 8> inner_{};
+  std::array<std::uint32_t, 8> outer_{};
+};
+
+/// HMAC-SHA-256 (RFC 2104): `HmacKey(key).mac(message)`; verified against
+/// RFC 4231 vectors.
 Sha256Digest hmac_sha256(BytesView key, BytesView message);
 
 }  // namespace sftbft::crypto

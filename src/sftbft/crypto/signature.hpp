@@ -4,15 +4,17 @@
 // Diem production signature scheme. The protocol logic only requires that a
 // Byzantine replica cannot forge an honest replica's vote *within the run*.
 // We realize this with HMAC-SHA-256 over per-replica secrets: a replica can
-// sign only through its own Signer (which owns its secret), and the registry
-// verifies by recomputation. The interfaces mirror asymmetric signatures so a
-// production scheme (e.g. Ed25519) can be swapped in without touching
-// protocol code.
+// sign only through its own Signer (which owns its key), and the registry
+// verifies by recomputation: one keyed HMAC per signature (crypto::HmacKey
+// holds each key's precomputed pad states). The interfaces mirror
+// asymmetric signatures so a production scheme (e.g. Ed25519) can be
+// swapped in without touching protocol code.
 #pragma once
 
 #include <array>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sftbft/common/bytes.hpp"
@@ -23,7 +25,6 @@
 namespace sftbft::crypto {
 
 struct AggregateSignature;
-class VerifyCache;
 
 /// A signature over a message digest, tagged with the signer identity.
 struct Signature {
@@ -38,6 +39,29 @@ struct Signature {
 
 class KeyRegistry;
 
+namespace detail {
+
+/// A replica's 32-byte secret and its HmacKey, derived on first use so that
+/// building a registry (every Deployment does, for all n replicas) hashes
+/// nothing. Not synchronised: a registry and its signers serve one
+/// deployment, which runs on one thread.
+class SecretKey {
+ public:
+  explicit SecretKey(const std::array<std::uint8_t, 32>& secret)
+      : secret_(secret) {}
+
+  [[nodiscard]] Sha256Digest mac(BytesView message) const {
+    if (!key_) key_.emplace(secret_);
+    return key_->mac(message);
+  }
+
+ private:
+  std::array<std::uint8_t, 32> secret_;
+  mutable std::optional<HmacKey> key_;
+};
+
+}  // namespace detail
+
 /// Signing capability of one replica. Only the replica's own actor holds its
 /// Signer, which is what makes honest votes unforgeable in the simulation.
 class Signer {
@@ -49,11 +73,10 @@ class Signer {
 
  private:
   friend class KeyRegistry;
-  Signer(ReplicaId id, std::array<std::uint8_t, 32> secret)
-      : id_(id), secret_(secret) {}
+  Signer(ReplicaId id, const detail::SecretKey& key) : id_(id), key_(key) {}
 
   ReplicaId id_;
-  std::array<std::uint8_t, 32> secret_;
+  detail::SecretKey key_;
 };
 
 /// The PKI: generates all replica keys from a seed and verifies signatures.
@@ -64,35 +87,28 @@ class KeyRegistry {
   KeyRegistry(std::uint32_t n, std::uint64_t seed);
 
   [[nodiscard]] std::uint32_t size() const {
-    return static_cast<std::uint32_t>(secrets_.size());
+    return static_cast<std::uint32_t>(keys_.size());
   }
 
   /// Hands out the signer for `id`. Call once per replica at setup; protocol
   /// code never touches other replicas' signers.
   [[nodiscard]] Signer signer_for(ReplicaId id) const;
 
-  /// True iff `sig` is a valid signature by `sig.signer` over `message`.
-  /// With a cache, the recomputed MAC for (signer, message) is memoized —
-  /// the presented MAC is still compared against the known-good one, so a
-  /// forgery can never be laundered through a hit (see verify_cache.hpp).
-  [[nodiscard]] bool verify(const Signature& sig, BytesView message,
-                            VerifyCache* cache = nullptr) const;
-
-  /// The correct MAC for (signer, message) — what a Signature by `signer`
-  /// over `message` must carry. Cache-aware; `signer` must be in range.
-  [[nodiscard]] Sha256Digest expected_mac(ReplicaId signer, BytesView message,
-                                          VerifyCache* cache = nullptr) const;
+  /// True iff `sig` is a valid signature by `sig.signer` over `message`:
+  /// recomputes the signer's MAC (one keyed HMAC, nothing memoized) and
+  /// compares it in constant time.
+  [[nodiscard]] bool verify(const Signature& sig, BytesView message) const;
 
   /// True iff `agg.tag` is the fold of every bitmap member's MAC, each over
   /// `message_for(member)` — the member's own canonical signing bytes. An
   /// empty signer set never verifies.
   [[nodiscard]] bool verify_aggregate(
       const AggregateSignature& agg,
-      const std::function<Bytes(ReplicaId)>& message_for,
-      VerifyCache* cache = nullptr) const;
+      const std::function<Bytes(ReplicaId)>& message_for) const;
 
  private:
-  std::vector<std::array<std::uint8_t, 32>> secrets_;
+  /// One keyed HMAC per replica, from its seeded 32-byte secret.
+  std::vector<detail::SecretKey> keys_;
 };
 
 }  // namespace sftbft::crypto

@@ -1,24 +1,21 @@
 #include "sftbft/crypto/verify_cache.hpp"
 
+#include "sftbft/crypto/signature.hpp"
 #include "sftbft/obs/observer.hpp"
 
 namespace sftbft::crypto {
 
-const Sha256Digest* VerifyCache::lookup_mac(ReplicaId signer,
-                                            const Sha256Digest& message_digest) {
-  const auto it = macs_.find(message_digest);
-  if (it == macs_.end() || it->second.signer != signer) {
-    bump_vote(false);
-    return nullptr;
-  }
-  bump_vote(true);
-  return &it->second.mac;
+bool VerifyCache::verify(const KeyRegistry& registry, const Signature& sig,
+                         BytesView message) {
+  count_macs(1);
+  return registry.verify(sig, message);
 }
 
-void VerifyCache::store_mac(ReplicaId signer, const Sha256Digest& message_digest,
-                            const Sha256Digest& mac) {
-  if (macs_.size() >= kMaxEntries) macs_.clear();
-  macs_[message_digest] = MacEntry{signer, mac};
+void VerifyCache::count_duplicate_vote() {
+  ++vote_hits_;
+  if (obs_ != nullptr) {
+    obs_->count(replica_, obs::Counter::kVoteVerifyHits);
+  }
 }
 
 bool VerifyCache::seen_cert(const Sha256Digest& key) {
@@ -27,20 +24,18 @@ bool VerifyCache::seen_cert(const Sha256Digest& key) {
   return hit;
 }
 
-void VerifyCache::note_cert(const Sha256Digest& key) {
+void VerifyCache::note_cert(const Sha256Digest& key, std::size_t members,
+                            bool ok) {
+  count_macs(members);
+  if (!ok) return;
   if (certs_.size() >= kMaxEntries) certs_.clear();
   certs_.insert(key);
 }
 
-void VerifyCache::bump_vote(bool hit) {
-  if (hit) {
-    ++vote_hits_;
-  } else {
-    ++vote_misses_;
-  }
+void VerifyCache::count_macs(std::size_t count) {
+  vote_misses_ += count;
   if (obs_ != nullptr) {
-    obs_->count(replica_, hit ? obs::Counter::kVoteVerifyHits
-                              : obs::Counter::kVoteVerifyMisses);
+    obs_->count(replica_, obs::Counter::kVoteVerifyMisses, count);
   }
 }
 

@@ -1,30 +1,33 @@
-// Receiver-side verification memo for votes and certificates.
+// Receiver-side certificate memo and vote-check accounting.
 //
-// The same signature bytes are verified repeatedly on real paths: a vote
-// arrives individually at the leader and again inside the sealed QC; a QC is
-// re-verified when the proposal that carries it is echoed, when a timeout
-// message attaches it, and when sync replays it. The memo makes each of
-// those a recomputation exactly once:
+// A QC is verified repeatedly on real paths: it is re-checked when the
+// proposal that carries it is echoed, when a timeout message attaches it,
+// and when sync replays it. The memo makes each of those a full aggregate
+// verification exactly once: a digest of the certificate's full canonical
+// encoding is noted only after a successful verification. Any tamper —
+// header, metadata, bitmap, or tag — changes the encoding, so a mutated
+// certificate misses the memo and pays (and fails) fresh verification.
+// Tests pin this mutate-after-verify property.
 //
-//  - Vote level: (signer, SHA-256 of the signing bytes) -> the *recomputed*
-//    correct MAC. Only MACs this registry derived itself are stored — never
-//    attacker input — so a hit still compares the presented MAC against the
-//    known-good one; a forged signature can never be laundered through the
-//    cache.
-//  - Certificate level: a digest of the certificate's full canonical
-//    encoding, noted only after a successful verification. Any tamper —
-//    header, metadata, bitmap, or tag — changes the encoding, so a mutated
-//    certificate misses the memo and pays (and fails) fresh verification.
-//    Tests pin this mutate-after-verify property.
+// Single signatures are not memoized: a vote MAC is one keyed HMAC
+// (crypto::HmacKey), cheaper than any lookup keyed by a hash of the signed
+// bytes. The one repeat worth skipping — Streamlet's echo delivering a
+// byte-identical copy of a vote the replica already accepted — is caught by
+// the protocol before verification, against its own vote table.
 //
 // One cache per replica (simulations sweep scenarios on a thread pool, so
-// caches are never shared across deployments). Effectiveness is surfaced as
-// obs counters (sig.vote_verify_hits/misses, sig.cert_verify_hits/misses)
-// when an Observer is attached.
+// caches are never shared across deployments). Obs counters, when an
+// Observer is attached:
+//  - sig.vote_verify_misses: vote MACs recomputed, for single signatures
+//    (verify()) and for the members of certificates that missed the memo
+//    (note_cert());
+//  - sig.vote_verify_hits: vote checks skipped because the vote is an
+//    exact duplicate of one already verified (count_duplicate_vote());
+//  - sig.cert_verify_hits/misses: certificate memo hits and full aggregate
+//    verifications.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "sftbft/common/types.hpp"
@@ -36,32 +39,34 @@ class Observer;
 
 namespace sftbft::crypto {
 
+class KeyRegistry;
+struct Signature;
+
 class VerifyCache {
  public:
-  /// Entry bound per level; reaching it clears that level (epoch reset), so
-  /// a long run's memo cannot grow without bound.
+  /// Entry bound; reaching it clears the memo (epoch reset), so a long
+  /// run's memo cannot grow without bound.
   static constexpr std::size_t kMaxEntries = 1u << 16;
 
   VerifyCache() = default;
   VerifyCache(obs::Observer* obs, ReplicaId replica)
       : obs_(obs), replica_(replica) {}
 
-  /// The memoized correct MAC for (signer, message digest); nullptr = miss.
-  /// The pointer is valid until the next store_mac call.
-  [[nodiscard]] const Sha256Digest* lookup_mac(
-      ReplicaId signer, const Sha256Digest& message_digest);
+  /// `registry.verify(sig, message)`, counted as one vote MAC recomputed.
+  [[nodiscard]] bool verify(const KeyRegistry& registry, const Signature& sig,
+                            BytesView message);
 
-  /// Memoizes a MAC the registry recomputed itself (see file comment: only
-  /// known-good MACs enter the cache).
-  void store_mac(ReplicaId signer, const Sha256Digest& message_digest,
-                 const Sha256Digest& mac);
+  /// Counts a vote check skipped: the vote is an exact copy of one this
+  /// replica already verified.
+  void count_duplicate_vote();
 
   /// True iff a certificate with this canonical-encoding digest already
   /// verified successfully. Counts a cert-level hit/miss either way.
   [[nodiscard]] bool seen_cert(const Sha256Digest& key);
 
-  /// Records a successful certificate verification.
-  void note_cert(const Sha256Digest& key);
+  /// Records a full aggregate verification that recomputed `members` vote
+  /// MACs after a seen_cert miss; memoizes `key` only when it passed.
+  void note_cert(const Sha256Digest& key, std::size_t members, bool ok);
 
   [[nodiscard]] std::uint64_t vote_hits() const { return vote_hits_; }
   [[nodiscard]] std::uint64_t vote_misses() const { return vote_misses_; }
@@ -69,17 +74,9 @@ class VerifyCache {
   [[nodiscard]] std::uint64_t cert_misses() const { return cert_misses_; }
 
  private:
-  struct MacEntry {
-    ReplicaId signer = kNoReplica;
-    Sha256Digest mac;
-  };
-
-  void bump_vote(bool hit);
+  void count_macs(std::size_t count);
   void bump_cert(bool hit);
 
-  // Signing bytes embed the signer id, so the message digest alone is a
-  // sound key; the entry still pins the signer as a collision guard.
-  std::unordered_map<Sha256Digest, MacEntry> macs_;
   std::unordered_set<Sha256Digest> certs_;
   std::uint64_t vote_hits_ = 0;
   std::uint64_t vote_misses_ = 0;

@@ -27,8 +27,8 @@ bool LightClient::verify(const StrongCommitProof& proof) const {
   }
   if (carrier_block.proposer != carrier_block.round % n_) return false;
   if (proof.carrier.sig.signer != carrier_block.proposer) return false;
-  if (!registry_->verify(proof.carrier.sig, proof.carrier.signing_bytes(),
-                         &cache_)) {
+  if (!cache_.verify(*registry_, proof.carrier.sig,
+                     proof.carrier.signing_bytes())) {
     return false;
   }
 

@@ -55,10 +55,10 @@ class LightClient {
  private:
   std::shared_ptr<const crypto::KeyRegistry> registry_;
   std::uint32_t n_;
-  /// Verification memo: clients re-check proofs sharing carriers/QCs.
+  /// Certificate memo: clients re-check proofs sharing carrier QCs.
   /// Mutable because memoization does not change verify()'s semantics —
-  /// the memo only ever holds registry-recomputed MACs and the encoding
-  /// digests of certificates that already passed a full verification.
+  /// the memo only ever holds the encoding digests of certificates that
+  /// already passed a full verification.
   mutable crypto::VerifyCache cache_;
 
   [[nodiscard]] std::uint32_t f() const { return (n_ - 1) / 3; }

@@ -47,8 +47,8 @@ enum class Counter : std::uint8_t {
   kAdmissionDuplicate,
   kAdmissionRateLimited,
   kAdmissionBackpressure,
-  kVoteVerifyHits,        ///< vote-MAC memo hits (crypto::VerifyCache)...
-  kVoteVerifyMisses,      ///< ...and recomputations
+  kVoteVerifyHits,        ///< vote checks skipped: exact verified copies...
+  kVoteVerifyMisses,      ///< ...and vote MACs recomputed (incl. cert members)
   kCertVerifyHits,        ///< whole-certificate memo hits...
   kCertVerifyMisses,      ///< ...and full aggregate verifications
   kCount_,

@@ -96,9 +96,8 @@ bool SCert::verify(const crypto::KeyRegistry& registry, std::size_t quorum,
             voters.begin());
         return SVote::signing_bytes_for(block_id, round, height, voter,
                                         markers[i]);
-      },
-      cache);
-  if (ok && cache != nullptr) cache->note_cert(memo_key);
+      });
+  if (cache != nullptr) cache->note_cert(memo_key, voters.size(), ok);
   return ok;
 }
 
@@ -486,7 +485,7 @@ void StreamletCore::on_proposal(const SProposal& proposal) {
   if (!block.id_is_valid()) return;
   if (config_.verify_signatures &&
       (proposal.sig.signer != block.proposer ||
-       !registry_->verify(proposal.sig, proposal.signing_bytes(), &cache_))) {
+       !cache_.verify(*registry_, proposal.sig, proposal.signing_bytes()))) {
     return;
   }
   const bool unseen = !tree_.contains(block.id);
@@ -589,9 +588,21 @@ void StreamletCore::on_vote(const SVote& vote) {
 
 void StreamletCore::ingest_vote(const SVote& vote, bool allow_echo) {
   if (stopped_) return;
+  // An exact copy of a vote already accepted (the O(n^3) echo delivers
+  // many) would verify and then fail the emplace below: drop it before
+  // paying for its MAC. `find`, not `[]`: unverified input creates no
+  // entries. SVote's == covers every signed field and the MAC.
+  if (const auto block_it = votes_.find(vote.block_id);
+      block_it != votes_.end()) {
+    const auto held = block_it->second.find(vote.voter);
+    if (held != block_it->second.end() && held->second == vote) {
+      if (config_.verify_signatures) cache_.count_duplicate_vote();
+      return;
+    }
+  }
   if (config_.verify_signatures &&
       (vote.voter != vote.sig.signer ||
-       !registry_->verify(vote.sig, vote.signing_bytes(), &cache_))) {
+       !cache_.verify(*registry_, vote.sig, vote.signing_bytes()))) {
     return;
   }
   auto& per_voter = votes_[vote.block_id];

@@ -325,7 +325,7 @@ class StreamletCore {
   std::optional<types::Block> awaiting_batches_;
   sim::TimerId tick_timer_ = sim::kInvalidTimer;
 
-  /// Verified-vote / certificate memo (obs-instrumented); one per replica.
+  /// Certificate memo + vote-check counters (obs); one per replica.
   crypto::VerifyCache cache_;
 
   /// votes per block (by voter), and the certified set.

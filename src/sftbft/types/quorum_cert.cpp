@@ -50,9 +50,8 @@ bool QuorumCert::verify(const crypto::KeyRegistry& registry,
             votes.begin(), votes.end(), voter,
             [](const QcVote& v, ReplicaId id) { return v.voter < id; });
         return Vote::signing_bytes_for(block_id, round, voter, it->meta);
-      },
-      cache);
-  if (ok && cache != nullptr) cache->note_cert(memo_key);
+      });
+  if (cache != nullptr) cache->note_cert(memo_key, signers.size(), ok);
   return ok;
 }
 

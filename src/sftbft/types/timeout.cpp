@@ -75,10 +75,9 @@ bool TimeoutCert::verify(const crypto::KeyRegistry& registry,
                 senders.begin());
             return TimeoutMsg::signing_bytes_for(round, sender,
                                                  hqc_rounds[i]);
-          },
-          cache) &&
+          }) &&
       high_qc.verify(registry, quorum, cache);
-  if (ok && cache != nullptr) cache->note_cert(memo_key);
+  if (cache != nullptr) cache->note_cert(memo_key, senders.size(), ok);
   return ok;
 }
 

@@ -1,9 +1,10 @@
 // Crypto substrate tests: SHA-256 against FIPS 180-4 vectors on every
 // compressor the CPU can run, the dispatched path against the portable
-// reference, HMAC-SHA-256 against RFC 4231 vectors, and signature/PKI
-// behaviour.
+// reference, HMAC-SHA-256 (HmacKey) against RFC 4231 vectors and the
+// RFC 2104 definition, and signature/PKI behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -213,31 +214,71 @@ TEST(Sha256, DigestOrdering) {
 
 // ------------------------------------------------------------ HMAC-SHA-256
 
-TEST(HmacSha256, Rfc4231Case1) {
-  const Bytes key(20, 0x0b);
-  EXPECT_EQ(hmac_sha256(key, ascii("Hi There")).hex(),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+struct HmacVector {
+  const char* name;
+  Bytes key;
+  Bytes message;
+  const char* mac_hex;
+};
+
+// RFC 4231 test cases 1, 2, 3 and 6 (case 6's 131-byte key is longer than
+// a block, so it is hashed first).
+std::vector<HmacVector> rfc4231_vectors() {
+  return {
+      {"case1", Bytes(20, 0x0b), ascii("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {"case2", ascii("Jefe"), ascii("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {"case3", Bytes(20, 0xaa), Bytes(50, 0xdd),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {"case6", Bytes(131, 0xaa),
+       ascii("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+  };
 }
 
-TEST(HmacSha256, Rfc4231Case2) {
-  EXPECT_EQ(
-      hmac_sha256(ascii("Jefe"), ascii("what do ya want for nothing?")).hex(),
-      "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+// HMAC exactly as RFC 2104 writes it, from Sha256 alone:
+// H((K' ^ opad) || H((K' ^ ipad) || m)), K' = H(K) if |K| > 64, zero-padded.
+Sha256Digest hmac_by_definition(BytesView key, BytesView message) {
+  Bytes k_block(64, 0);
+  if (key.size() > 64) {
+    const Sha256Digest kd = Sha256::hash(key);
+    std::copy(kd.bytes.begin(), kd.bytes.end(), k_block.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k_block.begin());
+  }
+  Bytes inner_in(64);
+  Bytes outer_in(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    inner_in[i] = static_cast<std::uint8_t>(k_block[i] ^ 0x36);
+    outer_in[i] = static_cast<std::uint8_t>(k_block[i] ^ 0x5c);
+  }
+  inner_in.insert(inner_in.end(), message.begin(), message.end());
+  const Sha256Digest inner = Sha256::hash(inner_in);
+  outer_in.insert(outer_in.end(), inner.bytes.begin(), inner.bytes.end());
+  return Sha256::hash(outer_in);
 }
 
-TEST(HmacSha256, Rfc4231Case3) {
-  const Bytes key(20, 0xaa);
-  const Bytes data(50, 0xdd);
-  EXPECT_EQ(hmac_sha256(key, data).hex(),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+TEST(HmacSha256, Rfc4231VectorsThroughHmacKey) {
+  for (const HmacVector& v : rfc4231_vectors()) {
+    SCOPED_TRACE(v.name);
+    EXPECT_EQ(HmacKey(v.key).mac(v.message).hex(), v.mac_hex);
+    EXPECT_EQ(hmac_sha256(v.key, v.message).hex(), v.mac_hex);
+  }
 }
 
-TEST(HmacSha256, Rfc4231Case6LongKey) {
-  const Bytes key(131, 0xaa);  // key longer than the block size gets hashed
-  EXPECT_EQ(hmac_sha256(key, ascii("Test Using Larger Than Block-Size Key - "
-                                   "Hash Key First"))
-                .hex(),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+TEST(HmacSha256, HmacKeyMatchesRfc2104Definition) {
+  // Keys of 0..100 bytes cross the 64-byte hash-the-key threshold; messages
+  // of 0..300 bytes cross every 64-byte block boundary of the inner hash.
+  for (std::size_t key_len = 0; key_len <= 100; ++key_len) {
+    const Bytes key = random_bytes(1000 + key_len, key_len);
+    const HmacKey keyed(key);
+    for (std::size_t msg_len = 0; msg_len <= 300; ++msg_len) {
+      const Bytes msg = random_bytes(7 * key_len + msg_len, msg_len);
+      ASSERT_EQ(keyed.mac(msg), hmac_by_definition(key, msg))
+          << "key " << key_len << " B, message " << msg_len << " B";
+    }
+  }
 }
 
 TEST(HmacSha256, DifferentKeysDiffer) {
@@ -298,6 +339,21 @@ TEST(Signature, DistinctSeedsDistinctKeys) {
   KeyRegistry a(4, 1), b(4, 2);
   const Bytes msg = ascii("x");
   EXPECT_FALSE(b.verify(a.signer_for(0).sign(msg), msg));
+}
+
+TEST(Signature, EveryReplicaVerifiesAndEveryMacBitMatters) {
+  KeyRegistry registry(7, 11);
+  const Bytes msg = random_bytes(5, 113);
+  for (ReplicaId id = 0; id < registry.size(); ++id) {
+    const Signature sig = registry.signer_for(id).sign(msg);
+    ASSERT_TRUE(registry.verify(sig, msg)) << "replica " << id;
+    for (std::size_t bit = 0; bit < sig.mac.size() * 8; ++bit) {
+      Signature flipped = sig;
+      flipped.mac[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      ASSERT_FALSE(registry.verify(flipped, msg))
+          << "replica " << id << " bit " << bit;
+    }
+  }
 }
 
 TEST(Signature, SignerForOutOfRangeThrows) {

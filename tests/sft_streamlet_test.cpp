@@ -1,8 +1,11 @@
 // SFT-Streamlet specifics (Appendix D.2/D.3): height-based markers,
-// k-endorsement semantics, the strong commit rule on triples, and the
-// Lemma 3 counting argument.
+// k-endorsement semantics, the strong commit rule on triples, the Lemma 3
+// counting argument, and dropping exact vote copies before verification.
 #include <gtest/gtest.h>
 
+#include <variant>
+
+#include "sftbft/obs/observer.hpp"
 #include "sftbft/streamlet/streamlet.hpp"
 
 namespace sftbft::streamlet {
@@ -208,6 +211,146 @@ TEST_F(SftStreamletUnit, WrongLeaderProposalIgnored) {
   proposal.sig = registry_->signer_for(5).sign(proposal.signing_bytes());
   core_.on_proposal(proposal);
   EXPECT_FALSE(core_.tree().contains(b1.id));
+}
+
+// ------------------------------------------------ duplicate-before-verify
+
+/// A core with echo on, counting echoes and on_vote_seen calls, and an
+/// Observer whose sig.vote_verify_* counters show which vote copies paid
+/// for a MAC recomputation (misses) and which were skipped (hits).
+class StreamletVoteDedup : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kN = 7;
+  static constexpr ReplicaId kVoter = 3;
+
+  StreamletVoteDedup()
+      : registry_(std::make_shared<crypto::KeyRegistry>(kN, 5)),
+        observer_(obs::ObsConfig{.enabled = true}, kN),
+        core_(make_config(&observer_), sched_, registry_, pool_, make_hooks()) {
+    block_ = make_first_block();
+    SProposal proposal;
+    proposal.block = block_;
+    proposal.sig =
+        registry_->signer_for(block_.proposer).sign(proposal.signing_bytes());
+    core_.on_proposal(proposal);
+    vote_ = signed_vote(/*marker=*/0);
+    core_.on_vote(vote_);
+  }
+
+  static StreamletConfig make_config(obs::Observer* observer) {
+    StreamletConfig config;
+    config.id = 0;
+    config.n = kN;
+    config.sft = true;
+    config.echo = true;
+    config.verify_signatures = true;
+    config.observer = observer;
+    return config;
+  }
+
+  StreamletCore::Hooks make_hooks() {
+    StreamletCore::Hooks hooks;
+    hooks.echo = [this](const SMessage& msg) {
+      if (std::holds_alternative<SVote>(msg)) ++vote_echoes_;
+    };
+    hooks.on_vote_seen = [this](const SVote&) { ++votes_seen_; };
+    return hooks;
+  }
+
+  types::Block make_first_block() const {
+    const types::Block& genesis = core_.tree().genesis();
+    types::Block block;
+    block.parent_id = genesis.id;
+    block.round = 1;
+    block.height = 1;
+    block.proposer = 1;
+    block.qc.block_id = genesis.id;
+    block.qc.round = genesis.round;
+    block.seal();
+    return block;
+  }
+
+  SVote signed_vote(Height marker) const {
+    SVote vote;
+    vote.block_id = block_.id;
+    vote.round = block_.round;
+    vote.height = block_.height;
+    vote.voter = kVoter;
+    vote.marker = marker;
+    vote.sig = registry_->signer_for(kVoter).sign(vote.signing_bytes());
+    return vote;
+  }
+
+  std::uint64_t counter(obs::Counter c) const {
+    return observer_.registry(0).counter(c);
+  }
+  std::uint64_t macs() const {
+    return counter(obs::Counter::kVoteVerifyMisses);
+  }
+  std::uint64_t skipped() const {
+    return counter(obs::Counter::kVoteVerifyHits);
+  }
+
+  sim::Scheduler sched_;
+  std::shared_ptr<crypto::KeyRegistry> registry_;
+  mempool::Mempool pool_;
+  obs::Observer observer_;
+  int vote_echoes_ = 0;
+  int votes_seen_ = 0;
+  StreamletCore core_;
+  types::Block block_;
+  SVote vote_;
+};
+
+TEST_F(StreamletVoteDedup, AcceptedVoteIsVerifiedSeenAndEchoedOnce) {
+  ASSERT_TRUE(core_.tree().contains(block_.id));
+  EXPECT_EQ(macs(), 2u);  // the proposal's MAC and the vote's
+  EXPECT_EQ(skipped(), 0u);
+  EXPECT_EQ(votes_seen_, 1);
+  EXPECT_EQ(vote_echoes_, 1);
+}
+
+TEST_F(StreamletVoteDedup, ExactRedeliveryIsDroppedWithoutMacRecomputation) {
+  const std::uint64_t macs_before = macs();
+  for (int copy = 0; copy < 3; ++copy) core_.on_vote(vote_);
+  EXPECT_EQ(macs(), macs_before);
+  EXPECT_EQ(skipped(), 3u);
+  EXPECT_EQ(votes_seen_, 1);
+  EXPECT_EQ(vote_echoes_, 1);
+}
+
+TEST_F(StreamletVoteDedup, CopyWithOneMacByteChangedIsVerifiedAndRejected) {
+  const std::uint64_t macs_before = macs();
+  SVote tampered = vote_;
+  tampered.sig.mac[17] ^= 0x40;
+  core_.on_vote(tampered);
+  EXPECT_EQ(macs(), macs_before + 1);
+  EXPECT_EQ(skipped(), 0u);
+  EXPECT_EQ(votes_seen_, 1);
+  EXPECT_EQ(vote_echoes_, 1);
+  // The accepted vote still counts as an exact copy afterwards.
+  core_.on_vote(vote_);
+  EXPECT_EQ(macs(), macs_before + 1);
+  EXPECT_EQ(skipped(), 1u);
+}
+
+TEST_F(StreamletVoteDedup, CopyWithOnlyMarkerChangedGetsFullVerification) {
+  // AmnesiaVoter's shape: the same voter re-signs its vote for the same
+  // block with a different height marker. It verifies, then loses to the
+  // vote already held for that voter.
+  const std::uint64_t macs_before = macs();
+  const std::uint32_t endorsers = core_.k_endorser_count(block_.id, 1);
+  core_.on_vote(signed_vote(/*marker=*/1));
+  EXPECT_EQ(macs(), macs_before + 1);
+  // ...and a marker edit that keeps the old signature fails verification.
+  SVote relabelled = vote_;
+  relabelled.marker = 1;
+  core_.on_vote(relabelled);
+  EXPECT_EQ(macs(), macs_before + 2);
+  EXPECT_EQ(skipped(), 0u);
+  EXPECT_EQ(votes_seen_, 1);
+  EXPECT_EQ(vote_echoes_, 1);
+  EXPECT_EQ(core_.k_endorser_count(block_.id, 1), endorsers);
 }
 
 }  // namespace
