@@ -11,7 +11,6 @@
 #include "sftbft/core/vote_history.hpp"
 #include "sftbft/crypto/sha256.hpp"
 #include "sftbft/crypto/signature.hpp"
-#include "sftbft/crypto/verify_cache.hpp"
 #include "sftbft/mempool/mempool.hpp"
 #include "sftbft/net/envelope.hpp"
 #include "sftbft/types/proposal.hpp"
@@ -279,8 +278,9 @@ void BM_CertVerifyPerVote(benchmark::State& state) {
 }
 BENCHMARK(BM_CertVerifyPerVote)->Arg(16)->Arg(31)->Arg(100);
 
-/// Aggregate verify, cold: the full refold (one MAC recomputation per
-/// bitmap signer) a receiver pays the first time it sees a certificate.
+/// Aggregate verify: the full refold (one MAC recomputation per bitmap
+/// signer) a receiver pays on every certificate check — nothing is
+/// memoized, so there is no warm path.
 void BM_CertVerifyAggregateCold(benchmark::State& state) {
   const SignedQcFixture fx(static_cast<std::uint32_t>(state.range(0)));
   for (auto _ : state) {
@@ -288,19 +288,6 @@ void BM_CertVerifyAggregateCold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CertVerifyAggregateCold)->Arg(16)->Arg(31)->Arg(100);
-
-/// ...and memoized: the VerifyCache hit path for a certificate this replica
-/// has already verified (the chained pipeline re-verifies the same QC on
-/// proposal validation, sync, and commit paths).
-void BM_CertVerifyAggregateMemoized(benchmark::State& state) {
-  const SignedQcFixture fx(static_cast<std::uint32_t>(state.range(0)));
-  crypto::VerifyCache cache(nullptr, 0);
-  benchmark::DoNotOptimize(fx.qc.verify(fx.registry, fx.quorum, &cache));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.qc.verify(fx.registry, fx.quorum, &cache));
-  }
-}
-BENCHMARK(BM_CertVerifyAggregateMemoized)->Arg(16)->Arg(31)->Arg(100);
 
 /// One vote MAC under a precomputed key (crypto::HmacKey): what every
 /// signature check costs. Arg = message bytes (a vote's signing bytes are

@@ -58,6 +58,9 @@ class Encoder {
 
   [[nodiscard]] const Bytes& data() const { return buf_; }
   [[nodiscard]] Bytes take() { return std::move(buf_); }
+  /// Empties the buffer but keeps its capacity, so one encoder can be
+  /// reused for a run of small messages without reallocating.
+  void clear() { buf_.clear(); }
 
  private:
   void put_le(std::uint64_t v, int width);

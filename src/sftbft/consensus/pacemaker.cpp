@@ -1,7 +1,6 @@
 #include "sftbft/consensus/pacemaker.hpp"
 
 #include <cassert>
-#include <cmath>
 
 #include "sftbft/obs/observer.hpp"
 
@@ -9,9 +8,7 @@ namespace sftbft::consensus {
 
 Pacemaker::Pacemaker(sim::Scheduler& sched, PacemakerConfig config,
                      Callbacks callbacks)
-    : sched_(sched), config_(config), callbacks_(std::move(callbacks)) {
-  assert(config_.backoff >= 1.0);
-}
+    : sched_(sched), config_(config), callbacks_(std::move(callbacks)) {}
 
 void Pacemaker::start() {
   assert(round_ == 0);
@@ -27,7 +24,6 @@ void Pacemaker::stop() {
 void Pacemaker::resume(Round round) {
   stopped_ = false;
   timed_out_ = false;
-  consecutive_timeouts_ = 0;
   round_ = round > 0 ? round : 1;
   arm_timer();
   note_round_entered(round_);
@@ -41,9 +37,6 @@ bool Pacemaker::advance_to(Round round) {
 }
 
 void Pacemaker::enter(Round round) {
-  // Entering a round while the previous one never timed out means progress —
-  // reset the backoff; a timeout chain keeps growing the timer instead.
-  if (!timed_out_) consecutive_timeouts_ = 0;
   round_ = round;
   timed_out_ = false;
   arm_timer();
@@ -71,16 +64,10 @@ void Pacemaker::note_round_entered(Round round) {
 
 void Pacemaker::arm_timer() {
   sched_.cancel(timer_);
-  const double scale = std::pow(
-      config_.backoff,
-      std::min(consecutive_timeouts_, config_.max_backoff_steps));
-  const auto duration = static_cast<SimDuration>(
-      static_cast<double>(config_.base_timeout) * scale);
-  timer_ = sched_.schedule_after(duration, [this] {
+  timer_ = sched_.schedule_after(config_.base_timeout, [this] {
     timer_ = sim::kInvalidTimer;
     if (stopped_) return;
     timed_out_ = true;
-    ++consecutive_timeouts_;
     const Round expired = round_;
     if (obs::Observer* obs = config_.observer) {
       obs->count(config_.id, obs::Counter::kTimeoutsLocal);

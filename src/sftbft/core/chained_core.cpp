@@ -36,7 +36,6 @@ ChainedCore::ChainedCore(CoreConfig config, sim::Scheduler& sched,
       pacemaker_(
           sched,
           PacemakerConfig{.base_timeout = config.base_timeout,
-                          .backoff = config.timeout_backoff,
                           .observer = config.observer,
                           .id = config.id},
           Pacemaker::Callbacks{
@@ -76,22 +75,8 @@ ChainedCore::ChainedCore(CoreConfig config, sim::Scheduler& sched,
   committer_.set_store(store_);
   committer_.set_on_commit([this](const Block& block, std::uint32_t strength,
                                   SimTime now) {
-    if (obs::Observer* obs = config_.observer) {
-      const SimDuration latency = now - block.created_at;
-      if (strength <= config_.f()) {
-        obs->count(config_.id, obs::Counter::kCommits);
-        obs->observe(config_.id, obs::Hist::kCommitLatencyUs, latency);
-      } else {
-        obs->count(config_.id, obs::Counter::kStrongCommits);
-        obs->observe(config_.id, obs::Hist::kStrongCommitLatencyUs, latency);
-      }
-      if (obs->recording()) {
-        obs->emit(obs::span_event(
-            "block", strength <= config_.f() ? "committed" : "strong_commit",
-            config_.id, block.height, block.created_at, now,
-            {"round", block.round}, {"strength", strength}));
-      }
-    }
+    observe_commit(config_.observer, config_.id, config_.f(), block, strength,
+                   now);
     if (hooks_.on_commit) hooks_.on_commit(block, strength, now);
   });
   committer_.set_snapshot_hook([this] { maybe_snapshot(); });

@@ -96,7 +96,6 @@ struct CoreConfig {
 
   /// Round timer (Fig. 2 "predefined duration").
   SimDuration base_timeout = millis(3000);
-  double timeout_backoff = 1.0;
 
   /// Modelled leader-side processing (block execution, batching, signature
   /// checks) between QC availability and the proposal broadcast. This is the

@@ -17,7 +17,18 @@
 #include "sftbft/sim/scheduler.hpp"
 #include "sftbft/storage/replica_store.hpp"
 
+namespace sftbft::obs {
+class Observer;
+}  // namespace sftbft::obs
+
 namespace sftbft::core {
+
+/// The obs side of a commit notification, shared by every core: counts a
+/// commit (strength <= f) or a strong commit, records its latency from block
+/// creation, and emits the block's span event. `obs` may be null (off).
+void observe_commit(obs::Observer* obs, ReplicaId id, std::uint32_t f,
+                    const types::Block& block, std::uint32_t strength,
+                    SimTime now);
 
 class Committer {
  public:

@@ -34,13 +34,7 @@ std::size_t SignerBitmap::popcount() const {
 std::vector<ReplicaId> SignerBitmap::ids() const {
   std::vector<ReplicaId> out;
   out.reserve(popcount());
-  for (std::size_t byte = 0; byte < bits.size(); ++byte) {
-    for (std::size_t bit = 0; bit < 8; ++bit) {
-      if ((bits[byte] >> bit) & 1u) {
-        out.push_back(static_cast<ReplicaId>(byte * 8 + bit));
-      }
-    }
-  }
+  for_each([&out](ReplicaId id) { out.push_back(id); });
   return out;
 }
 

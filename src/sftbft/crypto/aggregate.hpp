@@ -44,6 +44,17 @@ struct SignerBitmap {
   [[nodiscard]] std::size_t popcount() const;
   /// The set replica ids, ascending.
   [[nodiscard]] std::vector<ReplicaId> ids() const;
+  /// Calls `visit(id)` for every set replica id, ascending.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for (std::size_t byte = 0; byte < bits.size(); ++byte) {
+      for (std::size_t bit = 0; bit < 8; ++bit) {
+        if ((bits[byte] >> bit) & 1u) {
+          visit(static_cast<ReplicaId>(byte * 8 + bit));
+        }
+      }
+    }
+  }
 
   void encode(Encoder& enc) const;
   static SignerBitmap decode(Decoder& dec);

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "sftbft/common/rng.hpp"
-#include "sftbft/crypto/aggregate.hpp"
 
 namespace sftbft::crypto {
 
@@ -52,21 +51,6 @@ Signer KeyRegistry::signer_for(ReplicaId id) const {
 bool KeyRegistry::verify(const Signature& sig, BytesView message) const {
   if (sig.signer >= keys_.size()) return false;
   return ct_equal(keys_[sig.signer].mac(message).bytes, sig.mac);
-}
-
-bool KeyRegistry::verify_aggregate(
-    const AggregateSignature& agg,
-    const std::function<Bytes(ReplicaId)>& message_for) const {
-  const std::vector<ReplicaId> ids = agg.signers.ids();
-  if (ids.empty()) return false;
-  if (ids.back() >= keys_.size()) return false;
-  std::array<std::uint8_t, 32> fold{};
-  for (const ReplicaId id : ids) {
-    const Bytes message = message_for(id);
-    const Sha256Digest mac = keys_[id].mac(message);
-    for (std::size_t i = 0; i < fold.size(); ++i) fold[i] ^= mac.bytes[i];
-  }
-  return ct_equal(fold, agg.tag);
 }
 
 }  // namespace sftbft::crypto

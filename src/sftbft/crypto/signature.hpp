@@ -12,7 +12,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -20,11 +19,10 @@
 #include "sftbft/common/bytes.hpp"
 #include "sftbft/common/codec.hpp"
 #include "sftbft/common/types.hpp"
+#include "sftbft/crypto/aggregate.hpp"
 #include "sftbft/crypto/sha256.hpp"
 
 namespace sftbft::crypto {
-
-struct AggregateSignature;
 
 /// A signature over a message digest, tagged with the signer identity.
 struct Signature {
@@ -100,15 +98,38 @@ class KeyRegistry {
   [[nodiscard]] bool verify(const Signature& sig, BytesView message) const;
 
   /// True iff `agg.tag` is the fold of every bitmap member's MAC, each over
-  /// `message_for(member)` — the member's own canonical signing bytes. An
-  /// empty signer set never verifies.
-  [[nodiscard]] bool verify_aggregate(
-      const AggregateSignature& agg,
-      const std::function<Bytes(ReplicaId)>& message_for) const;
+  /// the member's own canonical signing bytes. Walks the bitmap once:
+  /// `write_member(i, id, enc)` appends the signing bytes of the i-th member
+  /// (bitmap order, replica `id`) to `enc`, one buffer reused across
+  /// members. Certificates keep their per-member fields in bitmap order, so
+  /// `i` indexes them directly. An empty signer set never verifies.
+  template <typename WriteMember>
+  [[nodiscard]] bool verify_aggregate(const AggregateSignature& agg,
+                                      WriteMember&& write_member) const;
 
  private:
   /// One keyed HMAC per replica, from its seeded 32-byte secret.
   std::vector<detail::SecretKey> keys_;
 };
+
+template <typename WriteMember>
+bool KeyRegistry::verify_aggregate(const AggregateSignature& agg,
+                                   WriteMember&& write_member) const {
+  Encoder message;
+  std::array<std::uint8_t, 32> fold{};
+  std::size_t members = 0;
+  bool known = true;
+  agg.signers.for_each([&](ReplicaId id) {
+    if (id >= keys_.size()) {
+      known = false;
+      return;
+    }
+    message.clear();
+    write_member(members++, id, message);
+    const Sha256Digest mac = keys_[id].mac(message.data());
+    for (std::size_t i = 0; i < fold.size(); ++i) fold[i] ^= mac.bytes[i];
+  });
+  return known && members > 0 && ct_equal(fold, agg.tag);
+}
 
 }  // namespace sftbft::crypto

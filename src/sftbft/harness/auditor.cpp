@@ -153,6 +153,10 @@ void SafetyAuditor::audit_claim(const BlockId& id, std::uint32_t strength,
   // revert an "x-strong" block (checked eagerly; support accruing later
   // does not retroactively make the exposed claim safe).
   if (strength > config_.f()) {
+    if (config_.protocol == engine::Protocol::Streamlet &&
+        strength > supported_strength(id)) {
+      streamlet_refresh_support(id);
+    }
     const std::uint32_t supported = supported_strength(id);
     if (strength > supported) {
       Violation violation;
@@ -237,6 +241,19 @@ void SafetyAuditor::streamlet_check_commits(const BlockId& id) {
   }
   for (const Block* child : tree_.children_of(id)) {
     streamlet_evaluate_triple(*child);
+  }
+}
+
+void SafetyAuditor::streamlet_refresh_support(const BlockId& id) {
+  std::vector<const Block*> frontier{tree_.get(id)};
+  while (!frontier.empty()) {
+    const Block* current = frontier.back();
+    frontier.pop_back();
+    if (current == nullptr) continue;
+    streamlet_evaluate_triple(*current);
+    for (const Block* child : tree_.children_of(current->id)) {
+      frontier.push_back(child);
+    }
   }
 }
 

@@ -139,6 +139,11 @@ class SafetyAuditor {
                    ReplicaId replica, SimTime now);
   void streamlet_try_certify(const types::BlockId& id);
   void streamlet_check_commits(const types::BlockId& id);
+  /// Re-evaluates every triple centred on `id` or a descendant. A vote
+  /// raises the endorser counts of every ancestor of its block, but on_vote
+  /// re-evaluates only the triples around the voted block, so a block's
+  /// recorded support can lag the tracker until its claim is audited.
+  void streamlet_refresh_support(const types::BlockId& id);
   void streamlet_evaluate_triple(const types::Block& middle);
 
   Config config_;

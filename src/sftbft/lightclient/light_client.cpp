@@ -27,8 +27,7 @@ bool LightClient::verify(const StrongCommitProof& proof) const {
   }
   if (carrier_block.proposer != carrier_block.round % n_) return false;
   if (proof.carrier.sig.signer != carrier_block.proposer) return false;
-  if (!cache_.verify(*registry_, proof.carrier.sig,
-                     proof.carrier.signing_bytes())) {
+  if (!registry_->verify(proof.carrier.sig, proof.carrier.signing_bytes())) {
     return false;
   }
 
@@ -40,7 +39,7 @@ bool LightClient::verify(const StrongCommitProof& proof) const {
       proof.carrier_qc.round != carrier_block.round) {
     return false;
   }
-  if (!proof.carrier_qc.verify(*registry_, quorum(), &cache_)) return false;
+  if (!proof.carrier_qc.verify(*registry_, quorum())) return false;
 
   // 3. The claimed entry is literally in the certified Log and strong
   //    enough for the claim.

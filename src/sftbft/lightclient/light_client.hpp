@@ -20,7 +20,6 @@
 
 #include "sftbft/consensus/diembft.hpp"
 #include "sftbft/crypto/signature.hpp"
-#include "sftbft/crypto/verify_cache.hpp"
 #include "sftbft/types/proposal.hpp"
 
 namespace sftbft::lightclient {
@@ -55,11 +54,6 @@ class LightClient {
  private:
   std::shared_ptr<const crypto::KeyRegistry> registry_;
   std::uint32_t n_;
-  /// Certificate memo: clients re-check proofs sharing carrier QCs.
-  /// Mutable because memoization does not change verify()'s semantics —
-  /// the memo only ever holds the encoding digests of certificates that
-  /// already passed a full verification.
-  mutable crypto::VerifyCache cache_;
 
   [[nodiscard]] std::uint32_t f() const { return (n_ - 1) / 3; }
   [[nodiscard]] std::uint32_t quorum() const { return 2 * f() + 1; }

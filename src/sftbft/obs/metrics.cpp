@@ -26,7 +26,6 @@ const char* metric_name(Counter c) {
     case Counter::kAdmissionBackpressure: return "admission.backpressure";
     case Counter::kVoteVerifyHits: return "sig.vote_verify_hits";
     case Counter::kVoteVerifyMisses: return "sig.vote_verify_misses";
-    case Counter::kCertVerifyHits: return "sig.cert_verify_hits";
     case Counter::kCertVerifyMisses: return "sig.cert_verify_misses";
     case Counter::kCount_: break;
   }

@@ -49,8 +49,7 @@ enum class Counter : std::uint8_t {
   kAdmissionBackpressure,
   kVoteVerifyHits,        ///< vote checks skipped: exact verified copies...
   kVoteVerifyMisses,      ///< ...and vote MACs recomputed (incl. cert members)
-  kCertVerifyHits,        ///< whole-certificate memo hits...
-  kCertVerifyMisses,      ///< ...and full aggregate verifications
+  kCertVerifyMisses,      ///< full certificate (aggregate) verifications
   kCount_,
 };
 

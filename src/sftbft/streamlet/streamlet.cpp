@@ -33,19 +33,20 @@ SProposal SProposal::decode(Decoder& dec) {
 }
 
 Bytes SVote::signing_bytes() const {
-  return signing_bytes_for(block_id, round, height, voter, marker);
+  Encoder enc;
+  write_signing_bytes(enc, block_id, round, height, voter, marker);
+  return enc.take();
 }
 
-Bytes SVote::signing_bytes_for(const BlockId& block_id, Round round,
-                               Height height, ReplicaId voter, Height marker) {
-  Encoder enc;
+void SVote::write_signing_bytes(Encoder& enc, const BlockId& block_id,
+                                Round round, Height height, ReplicaId voter,
+                                Height marker) {
   enc.str("sftbft/streamlet/vote");
   enc.raw(block_id.bytes);
   enc.u64(round);
   enc.u64(height);
   enc.u32(voter);
   enc.u64(marker);
-  return enc.take();
 }
 
 void SVote::encode(Encoder& enc) const {
@@ -78,27 +79,13 @@ bool SCert::add_vote(const SVote& vote) {
 bool SCert::verify(const crypto::KeyRegistry& registry, std::size_t quorum,
                    crypto::VerifyCache* cache) const {
   if (markers.size() < quorum) return false;
-  const std::vector<ReplicaId> voters = agg.signers.ids();
-  if (voters.size() != markers.size()) return false;
-  crypto::Sha256Digest memo_key;
-  if (cache != nullptr) {
-    Encoder enc;
-    enc.str("sftbft/scert-verified");
-    encode(enc);
-    memo_key = crypto::Sha256::hash(enc.data());
-    if (cache->seen_cert(memo_key)) return true;
-  }
-  const bool ok = registry.verify_aggregate(
-      agg,
-      [this, &voters](ReplicaId voter) {
-        const std::size_t i = static_cast<std::size_t>(
-            std::lower_bound(voters.begin(), voters.end(), voter) -
-            voters.begin());
-        return SVote::signing_bytes_for(block_id, round, height, voter,
-                                        markers[i]);
+  if (agg.signers.popcount() != markers.size()) return false;
+  if (cache != nullptr) cache->count_cert(markers.size());
+  return registry.verify_aggregate(
+      agg, [this](std::size_t i, ReplicaId voter, Encoder& enc) {
+        SVote::write_signing_bytes(enc, block_id, round, height, voter,
+                                   markers[i]);
       });
-  if (cache != nullptr) cache->note_cert(memo_key, voters.size(), ok);
-  return ok;
 }
 
 void SCert::encode(Encoder& enc) const {
@@ -206,22 +193,8 @@ StreamletCore::StreamletCore(
   committer_.set_store(store_);
   committer_.set_on_commit([this](const Block& block, std::uint32_t strength,
                                   SimTime now) {
-    if (obs::Observer* obs = config_.observer) {
-      const SimDuration latency = now - block.created_at;
-      if (strength <= config_.f()) {
-        obs->count(config_.id, obs::Counter::kCommits);
-        obs->observe(config_.id, obs::Hist::kCommitLatencyUs, latency);
-      } else {
-        obs->count(config_.id, obs::Counter::kStrongCommits);
-        obs->observe(config_.id, obs::Hist::kStrongCommitLatencyUs, latency);
-      }
-      if (obs->recording()) {
-        obs->emit(obs::span_event(
-            "block", strength <= config_.f() ? "committed" : "strong_commit",
-            config_.id, block.height, block.created_at, now,
-            {"round", block.round}, {"strength", strength}));
-      }
-    }
+    core::observe_commit(config_.observer, config_.id, config_.f(), block,
+                         strength, now);
     if (hooks_.on_commit) hooks_.on_commit(block, strength, now);
   });
   committer_.set_snapshot_hook([this] { maybe_snapshot(); });
@@ -482,16 +455,19 @@ void StreamletCore::on_proposal(const SProposal& proposal) {
   if (stopped_) return;
   const Block& block = proposal.block;
   if (block.round == 0 || block.round % config_.n != block.proposer) return;
+  // An echoed copy of a block already held changes nothing (the tree would
+  // answer Duplicate and the echo fires only for unseen blocks): drop it
+  // before paying to re-hash the payload and recompute the proposer's MAC.
+  if (tree_.contains(block.id)) return;
   if (!block.id_is_valid()) return;
   if (config_.verify_signatures &&
       (proposal.sig.signer != block.proposer ||
        !cache_.verify(*registry_, proposal.sig, proposal.signing_bytes()))) {
     return;
   }
-  const bool unseen = !tree_.contains(block.id);
   const auto inserted = tree_.insert(block);
   if (inserted == chain::BlockTree::InsertResult::Rejected) return;
-  if (unseen && config_.echo && hooks_.echo) hooks_.echo(SMessage{proposal});
+  if (config_.echo && hooks_.echo) hooks_.echo(SMessage{proposal});
   if (inserted == chain::BlockTree::InsertResult::Orphaned &&
       !orphan_repair_armed_) {
     // Orphan repair: an equivocating leader (Appendix C) may have shown this

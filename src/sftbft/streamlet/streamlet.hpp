@@ -107,11 +107,12 @@ struct SVote {
 
   [[nodiscard]] Bytes signing_bytes() const;
 
-  /// The signed bytes rebuilt from certificate parts — what an aggregate
-  /// verifier recomputes per bitmap member.
-  [[nodiscard]] static Bytes signing_bytes_for(const types::BlockId& block_id,
-                                               Round round, Height height,
-                                               ReplicaId voter, Height marker);
+  /// Appends the signed bytes rebuilt from certificate parts — what an
+  /// aggregate verifier recomputes per bitmap member.
+  static void write_signing_bytes(Encoder& enc,
+                                  const types::BlockId& block_id, Round round,
+                                  Height height, ReplicaId voter,
+                                  Height marker);
 
   void encode(Encoder& enc) const;
   static SVote decode(Decoder& dec);
@@ -143,7 +144,7 @@ struct SCert {
   bool add_vote(const SVote& vote);
 
   /// >= quorum distinct voters and the aggregate refolds from every
-  /// voter's recomputed MAC. Cache semantics as QuorumCert::verify.
+  /// voter's recomputed MAC. `cache` (may be null) only counts the check.
   [[nodiscard]] bool verify(const crypto::KeyRegistry& registry,
                             std::size_t quorum,
                             crypto::VerifyCache* cache = nullptr) const;

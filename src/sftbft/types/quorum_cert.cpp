@@ -33,26 +33,11 @@ bool QuorumCert::verify(const crypto::KeyRegistry& registry,
   for (std::size_t i = 0; i < votes.size(); ++i) {
     if (votes[i].voter != signers[i]) return false;
   }
-  crypto::Sha256Digest memo_key;
-  if (cache != nullptr) {
-    // Key the cert memo by the FULL canonical encoding (not digest(), which
-    // deliberately omits interval sets): any tampered field must miss.
-    Encoder enc;
-    enc.str("sftbft/qc-verified");
-    encode(enc);
-    memo_key = crypto::Sha256::hash(enc.data());
-    if (cache->seen_cert(memo_key)) return true;
-  }
-  const bool ok = registry.verify_aggregate(
-      agg,
-      [this](ReplicaId voter) {
-        const auto it = std::lower_bound(
-            votes.begin(), votes.end(), voter,
-            [](const QcVote& v, ReplicaId id) { return v.voter < id; });
-        return Vote::signing_bytes_for(block_id, round, voter, it->meta);
+  if (cache != nullptr) cache->count_cert(votes.size());
+  return registry.verify_aggregate(
+      agg, [this](std::size_t i, ReplicaId voter, Encoder& enc) {
+        Vote::write_signing_bytes(enc, block_id, round, voter, votes[i].meta);
       });
-  if (cache != nullptr) cache->note_cert(memo_key, signers.size(), ok);
-  return ok;
 }
 
 crypto::Sha256Digest QuorumCert::digest() const {

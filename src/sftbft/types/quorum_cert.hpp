@@ -68,9 +68,8 @@ struct QuorumCert {
   /// Structural + cryptographic validity: >= quorum voters, metas aligned
   /// with the signer bitmap (sorted, distinct), and the aggregate tag
   /// refolds from every voter's recomputed MAC over its own signing bytes.
-  /// The genesis QC is valid by definition. With a cache, a certificate
-  /// that already verified is admitted by its full-encoding digest — any
-  /// tamper changes the encoding and forces (failing) fresh verification.
+  /// The genesis QC is valid by definition. Every call pays the full check;
+  /// `cache` (may be null) only counts it.
   [[nodiscard]] bool verify(const crypto::KeyRegistry& registry,
                             std::size_t quorum,
                             crypto::VerifyCache* cache = nullptr) const;

@@ -8,17 +8,17 @@
 namespace sftbft::types {
 
 Bytes TimeoutMsg::signing_bytes() const {
-  return signing_bytes_for(round, sender, high_qc.round);
+  Encoder enc;
+  write_signing_bytes(enc, round, sender, high_qc.round);
+  return enc.take();
 }
 
-Bytes TimeoutMsg::signing_bytes_for(Round round, ReplicaId sender,
-                                    Round high_qc_round) {
-  Encoder enc;
+void TimeoutMsg::write_signing_bytes(Encoder& enc, Round round,
+                                     ReplicaId sender, Round high_qc_round) {
   enc.str("sftbft/timeout");
   enc.u64(round);
   enc.u32(sender);
   enc.u64(high_qc_round);
-  return enc.take();
 }
 
 void TimeoutMsg::encode(Encoder& enc) const {
@@ -51,34 +51,20 @@ bool TimeoutCert::verify(const crypto::KeyRegistry& registry,
                          std::size_t quorum,
                          crypto::VerifyCache* cache) const {
   if (hqc_rounds.size() < quorum) return false;
-  const std::vector<ReplicaId> senders = agg.signers.ids();
-  if (senders.size() != hqc_rounds.size()) return false;
+  if (agg.signers.popcount() != hqc_rounds.size()) return false;
   // The representative QC must be exactly the members' max: a lower one
   // would let a Byzantine leader hide the quorum's progress.
   const Round max_round =
       *std::max_element(hqc_rounds.begin(), hqc_rounds.end());
   if (high_qc.round != max_round) return false;
-  crypto::Sha256Digest memo_key;
-  if (cache != nullptr) {
-    Encoder enc;
-    enc.str("sftbft/tc-verified");
-    encode(enc);
-    memo_key = crypto::Sha256::hash(enc.data());
-    if (cache->seen_cert(memo_key)) return true;
-  }
-  const bool ok =
-      registry.verify_aggregate(
-          agg,
-          [this, &senders](ReplicaId sender) {
-            const std::size_t i = static_cast<std::size_t>(
-                std::lower_bound(senders.begin(), senders.end(), sender) -
-                senders.begin());
-            return TimeoutMsg::signing_bytes_for(round, sender,
-                                                 hqc_rounds[i]);
-          }) &&
-      high_qc.verify(registry, quorum, cache);
-  if (cache != nullptr) cache->note_cert(memo_key, senders.size(), ok);
-  return ok;
+  if (cache != nullptr) cache->count_cert(hqc_rounds.size());
+  return registry.verify_aggregate(
+             agg,
+             [this](std::size_t i, ReplicaId sender, Encoder& enc) {
+               TimeoutMsg::write_signing_bytes(enc, round, sender,
+                                               hqc_rounds[i]);
+             }) &&
+         high_qc.verify(registry, quorum, cache);
 }
 
 void TimeoutCert::encode(Encoder& enc) const {

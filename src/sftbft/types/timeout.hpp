@@ -40,10 +40,10 @@ struct TimeoutMsg {
 
   [[nodiscard]] Bytes signing_bytes() const;
 
-  /// The signed bytes rebuilt from certificate parts (see file comment:
-  /// the signature covers the high QC's round, not its digest).
-  [[nodiscard]] static Bytes signing_bytes_for(Round round, ReplicaId sender,
-                                               Round high_qc_round);
+  /// Appends the signed bytes rebuilt from certificate parts (see file
+  /// comment: the signature covers the high QC's round, not its digest).
+  static void write_signing_bytes(Encoder& enc, Round round,
+                                  ReplicaId sender, Round high_qc_round);
 
   void encode(Encoder& enc) const;
   static TimeoutMsg decode(Decoder& dec);

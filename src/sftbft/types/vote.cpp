@@ -34,18 +34,19 @@ VoteMeta VoteMeta::decode(Decoder& dec) {
 }
 
 Bytes Vote::signing_bytes() const {
-  return signing_bytes_for(block_id, round, voter, meta());
+  Encoder enc;
+  write_signing_bytes(enc, block_id, round, voter, meta());
+  return enc.take();
 }
 
-Bytes Vote::signing_bytes_for(const BlockId& block_id, Round round,
-                              ReplicaId voter, const VoteMeta& meta) {
-  Encoder enc;
+void Vote::write_signing_bytes(Encoder& enc, const BlockId& block_id,
+                               Round round, ReplicaId voter,
+                               const VoteMeta& meta) {
   enc.str("sftbft/vote");
   enc.raw(block_id.bytes);
   enc.u64(round);
   enc.u32(voter);
   meta.encode(enc);
-  return enc.take();
 }
 
 bool Vote::endorses_round(Round ancestor_round) const {

@@ -83,11 +83,11 @@ struct Vote {
   /// where no signature check depends on it.
   [[nodiscard]] Bytes signing_bytes() const;
 
-  /// The same canonical bytes rebuilt from certificate parts — what an
-  /// aggregate verifier recomputes per bitmap member.
-  [[nodiscard]] static Bytes signing_bytes_for(const BlockId& block_id,
-                                               Round round, ReplicaId voter,
-                                               const VoteMeta& meta);
+  /// Appends the same canonical bytes, rebuilt from certificate parts —
+  /// what an aggregate verifier recomputes per bitmap member.
+  static void write_signing_bytes(Encoder& enc, const BlockId& block_id,
+                                  Round round, ReplicaId voter,
+                                  const VoteMeta& meta);
 
   /// Whether this vote endorses an ancestor block at `ancestor_round`.
   /// Precondition: the caller has established that the voted block extends

@@ -234,18 +234,18 @@ TEST_F(LightClientTest, RejectsBitmapMetadataLengthMismatch) {
   EXPECT_FALSE(client.verify(forged));
 }
 
-TEST_F(LightClientTest, MemoBypassTamperFailsFreshVerification) {
-  // The client memoizes successful certificate verifications by the digest
-  // of the certificate's full canonical encoding. Mutating *any* byte after
-  // a successful verification must miss the memo and fail a fresh check —
-  // the memo can never be used to launder a tampered certificate.
+TEST_F(LightClientTest, TamperAfterAcceptedProofFailsVerification) {
+  // A client that has already accepted a proof must still reject every
+  // tampered copy of it: the tag, a voter's metadata, or the voter set.
+  // Each check re-verifies the certificate in full, so an earlier success
+  // can never be used to launder a tampered certificate.
   const auto target = strong_block();
   const auto proof =
       lightclient::build_proof(cluster_->diem_core(0), target, 2 * kF);
   ASSERT_TRUE(proof.has_value());
   lightclient::LightClient client(cluster_->registry(), kN);
 
-  ASSERT_TRUE(client.verify(*proof));  // warms the client's memo
+  ASSERT_TRUE(client.verify(*proof));
 
   auto tampered = *proof;
   tampered.carrier_qc.agg.tag[3] ^= 0x80;

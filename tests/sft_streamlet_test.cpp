@@ -1,6 +1,7 @@
 // SFT-Streamlet specifics (Appendix D.2/D.3): height-based markers,
 // k-endorsement semantics, the strong commit rule on triples, the Lemma 3
-// counting argument, and dropping exact vote copies before verification.
+// counting argument, dropping exact vote copies and held proposals before
+// verification, and SCert aggregate checks.
 #include <gtest/gtest.h>
 
 #include <variant>
@@ -228,11 +229,10 @@ class StreamletVoteDedup : public ::testing::Test {
         observer_(obs::ObsConfig{.enabled = true}, kN),
         core_(make_config(&observer_), sched_, registry_, pool_, make_hooks()) {
     block_ = make_first_block();
-    SProposal proposal;
-    proposal.block = block_;
-    proposal.sig =
-        registry_->signer_for(block_.proposer).sign(proposal.signing_bytes());
-    core_.on_proposal(proposal);
+    proposal_.block = block_;
+    proposal_.sig =
+        registry_->signer_for(block_.proposer).sign(proposal_.signing_bytes());
+    core_.on_proposal(proposal_);
     vote_ = signed_vote(/*marker=*/0);
     core_.on_vote(vote_);
   }
@@ -252,6 +252,7 @@ class StreamletVoteDedup : public ::testing::Test {
     StreamletCore::Hooks hooks;
     hooks.echo = [this](const SMessage& msg) {
       if (std::holds_alternative<SVote>(msg)) ++vote_echoes_;
+      if (std::holds_alternative<SProposal>(msg)) ++proposal_echoes_;
     };
     hooks.on_vote_seen = [this](const SVote&) { ++votes_seen_; };
     return hooks;
@@ -296,9 +297,11 @@ class StreamletVoteDedup : public ::testing::Test {
   mempool::Mempool pool_;
   obs::Observer observer_;
   int vote_echoes_ = 0;
+  int proposal_echoes_ = 0;
   int votes_seen_ = 0;
   StreamletCore core_;
   types::Block block_;
+  SProposal proposal_;
   SVote vote_;
 };
 
@@ -308,6 +311,24 @@ TEST_F(StreamletVoteDedup, AcceptedVoteIsVerifiedSeenAndEchoedOnce) {
   EXPECT_EQ(skipped(), 0u);
   EXPECT_EQ(votes_seen_, 1);
   EXPECT_EQ(vote_echoes_, 1);
+  EXPECT_EQ(proposal_echoes_, 1);
+}
+
+TEST_F(StreamletVoteDedup, HeldProposalIsDroppedBeforeVerification) {
+  // An echoed copy of a proposal whose block is already in the tree is
+  // dropped unverified: even with one MAC byte flipped it changes neither
+  // the tree nor the echo count, and recomputes no MAC.
+  const std::uint64_t macs_before = macs();
+  const std::size_t blocks_before = core_.tree().size();
+  SProposal tampered = proposal_;
+  tampered.sig.mac[9] ^= 0x10;
+  core_.on_proposal(tampered);
+  core_.on_proposal(proposal_);
+  EXPECT_EQ(macs(), macs_before);
+  EXPECT_EQ(core_.tree().size(), blocks_before);
+  EXPECT_EQ(*core_.tree().get(block_.id), block_);
+  EXPECT_EQ(proposal_echoes_, 1);
+  EXPECT_EQ(votes_seen_, 1);
 }
 
 TEST_F(StreamletVoteDedup, ExactRedeliveryIsDroppedWithoutMacRecomputation) {
@@ -351,6 +372,70 @@ TEST_F(StreamletVoteDedup, CopyWithOnlyMarkerChangedGetsFullVerification) {
   EXPECT_EQ(votes_seen_, 1);
   EXPECT_EQ(vote_echoes_, 1);
   EXPECT_EQ(core_.k_endorser_count(block_.id, 1), endorsers);
+}
+
+// ------------------------------------------------------ certificate checks
+
+/// Obs counters for one replica's VerifyCache, checked around SCert::verify.
+class SCertVerify : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kN = 7;
+  static constexpr std::size_t kQuorum = 5;
+
+  SCertVerify()
+      : registry_(kN, 9), observer_(obs::ObsConfig{.enabled = true}, kN) {
+    cert_.block_id.bytes[0] = 0x5a;
+    cert_.round = 4;
+    cert_.height = 3;
+    for (ReplicaId voter = 0; voter < kQuorum; ++voter) {
+      SVote vote;
+      vote.block_id = cert_.block_id;
+      vote.round = cert_.round;
+      vote.height = cert_.height;
+      vote.voter = voter;
+      vote.marker = voter % 3;
+      vote.sig = registry_.signer_for(voter).sign(vote.signing_bytes());
+      EXPECT_TRUE(cert_.add_vote(vote));
+    }
+  }
+
+  std::uint64_t counter(obs::Counter c) const {
+    return observer_.registry(0).counter(c);
+  }
+
+  crypto::KeyRegistry registry_;
+  obs::Observer observer_;
+  crypto::VerifyCache cache_{&observer_, 0};
+  SCert cert_;
+};
+
+TEST_F(SCertVerify, FullCheckCountsEveryMember) {
+  ASSERT_TRUE(cert_.verify(registry_, kQuorum, &cache_));
+  EXPECT_EQ(counter(obs::Counter::kCertVerifyMisses), 1u);
+  EXPECT_EQ(counter(obs::Counter::kVoteVerifyMisses), kQuorum);
+  // A repeat check is a full check again.
+  ASSERT_TRUE(cert_.verify(registry_, kQuorum, &cache_));
+  EXPECT_EQ(counter(obs::Counter::kCertVerifyMisses), 2u);
+  EXPECT_EQ(counter(obs::Counter::kVoteVerifyMisses), 2 * kQuorum);
+}
+
+TEST_F(SCertVerify, TamperedMarkerFailsAfterTheCertVerified) {
+  ASSERT_TRUE(cert_.verify(registry_, kQuorum, &cache_));
+  SCert tampered = cert_;
+  tampered.markers[3] += 1;
+  EXPECT_FALSE(tampered.verify(registry_, kQuorum, &cache_));
+  EXPECT_EQ(counter(obs::Counter::kVoteVerifyMisses), 2 * kQuorum);
+  // The untampered certificate still verifies afterwards.
+  EXPECT_TRUE(cert_.verify(registry_, kQuorum, &cache_));
+}
+
+TEST_F(SCertVerify, StructuralRejectsCountNoMacs) {
+  SCert short_of_quorum = cert_;
+  short_of_quorum.markers.pop_back();
+  EXPECT_FALSE(short_of_quorum.verify(registry_, kQuorum, &cache_));
+  EXPECT_FALSE(cert_.verify(registry_, kQuorum + 1, &cache_));
+  EXPECT_EQ(counter(obs::Counter::kCertVerifyMisses), 0u);
+  EXPECT_EQ(counter(obs::Counter::kVoteVerifyMisses), 0u);
 }
 
 }  // namespace

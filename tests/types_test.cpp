@@ -4,6 +4,8 @@
 
 #include "sftbft/common/rng.hpp"
 #include "sftbft/crypto/signature.hpp"
+#include "sftbft/crypto/verify_cache.hpp"
+#include "sftbft/obs/observer.hpp"
 #include "sftbft/types/proposal.hpp"
 
 namespace sftbft::types {
@@ -298,9 +300,9 @@ TEST(Block, GenesisIsStable) {
 
 // --------------------------------------------------------------- timeouts
 
-TEST(TimeoutCert, VerifyAndHighestQc) {
-  // A real certified QC at round 3, held by two of the timing-out senders;
-  // the rest still sit on the genesis QC.
+/// A real certified QC at round 3, held by two of the five timing-out
+/// senders; the rest still sit on the genesis QC.
+TimeoutCert make_timeout_cert() {
   const Block block = make_block(Block::genesis(), 3);
   QuorumCert high;
   high.block_id = block.id;
@@ -321,6 +323,11 @@ TEST(TimeoutCert, VerifyAndHighestQc) {
     msg.sig = registry().signer_for(sender).sign(msg.signing_bytes());
     EXPECT_TRUE(tc.add_timeout(msg));
   }
+  return tc;
+}
+
+TEST(TimeoutCert, VerifyAndHighestQc) {
+  const TimeoutCert tc = make_timeout_cert();
   EXPECT_TRUE(tc.verify(registry(), 5));
   EXPECT_EQ(tc.highest_qc().round, 3u);
 
@@ -339,6 +346,35 @@ TEST(TimeoutCert, VerifyAndHighestQc) {
   TimeoutCert forged = tc;
   forged.agg.tag[0] ^= 1;
   EXPECT_FALSE(forged.verify(registry(), 5));
+}
+
+TEST(TimeoutCert, TamperedMemberRoundFailsAfterTheCertVerified) {
+  obs::Observer observer(obs::ObsConfig{.enabled = true}, 1);
+  crypto::VerifyCache cache(&observer, 0);
+  const auto macs = [&] {
+    return observer.registry(0).counter(obs::Counter::kVoteVerifyMisses);
+  };
+  const auto certs = [&] {
+    return observer.registry(0).counter(obs::Counter::kCertVerifyMisses);
+  };
+  const TimeoutCert tc = make_timeout_cert();
+  ASSERT_TRUE(tc.verify(registry(), 5, &cache));
+  // A full check: the TC's five members, then its high QC's five voters.
+  EXPECT_EQ(macs(), 10u);
+  EXPECT_EQ(certs(), 2u);
+
+  // One member's attested round rewritten below the max (so the
+  // representative QC still matches): the refold fails, and the high QC is
+  // not checked after it.
+  TimeoutCert tampered = tc;
+  ASSERT_EQ(tampered.hqc_rounds[1], 0u);
+  tampered.hqc_rounds[1] = 2;
+  EXPECT_FALSE(tampered.verify(registry(), 5, &cache));
+  EXPECT_EQ(macs(), 15u);
+  EXPECT_EQ(certs(), 3u);
+
+  EXPECT_TRUE(tc.verify(registry(), 5, &cache));
+  EXPECT_EQ(macs(), 25u);
 }
 
 TEST(TimeoutCert, RoundTrip) {
