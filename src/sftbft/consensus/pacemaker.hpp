@@ -6,7 +6,8 @@
 // advance_to). On entering a round the pacemaker arms a timer; on expiry the
 // core stops voting in the round and multicasts ⟨timeout, r, qc_high⟩.
 // Every round's timer runs the same fixed ("predefined") duration, as in
-// the paper's experiments.
+// the paper's experiments. Round entries and timeouts are reported by the
+// owning core's callbacks (core::Lifecycle), not here.
 #pragma once
 
 #include <functional>
@@ -14,18 +15,10 @@
 #include "sftbft/common/types.hpp"
 #include "sftbft/sim/scheduler.hpp"
 
-namespace sftbft::obs {
-class Observer;
-}  // namespace sftbft::obs
-
 namespace sftbft::consensus {
 
 struct PacemakerConfig {
   SimDuration base_timeout = millis(3000);
-  /// Observability (round entries / timeouts, attributed to `id`); null =
-  /// off. The Observer outlives the core that owns this pacemaker.
-  obs::Observer* observer = nullptr;
-  ReplicaId id = 0;
 };
 
 class Pacemaker {
@@ -64,7 +57,6 @@ class Pacemaker {
  private:
   void enter(Round round);
   void arm_timer();
-  void note_round_entered(Round round);
 
   sim::Scheduler& sched_;
   PacemakerConfig config_;

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "sftbft/common/logging.hpp"
-#include "sftbft/obs/observer.hpp"
 
 namespace sftbft::core {
 
@@ -30,18 +29,19 @@ ChainedCore::ChainedCore(CoreConfig config, sim::Scheduler& sched,
       signer_(registry_->signer_for(config.id)),
       pool_(pool),
       hooks_(std::move(hooks)),
+      lifecycle_(config.observer, config.id, config.f(),
+                 static_cast<bool>(hooks_.payload_available)),
       election_(config.n),
       tree_(),
       history_(tree_),
       pacemaker_(
           sched,
-          PacemakerConfig{.base_timeout = config.base_timeout,
-                          .observer = config.observer,
-                          .id = config.id},
+          PacemakerConfig{.base_timeout = config.base_timeout},
           Pacemaker::Callbacks{
               .on_round_entered = [this](Round r) { on_round_entered(r); },
               .on_local_timeout = [this](Round r) { on_local_timeout(r); }}),
-      committer_(tree_, ledger_, pool, sched),
+      committer_(tree_, ledger_, pool, sched, store, lifecycle_,
+                 hooks_.on_commit, [this] { return snapshot_envelope(); }),
       sync_(SyncClient::Config{.id = config.id,
                                .n = config.n,
                                .retry_after = config.base_timeout,
@@ -72,23 +72,18 @@ ChainedCore::ChainedCore(CoreConfig config, sim::Scheduler& sched,
                      pending_proposals_.empty();
             }),
       store_(store) {
-  committer_.set_store(store_);
-  committer_.set_on_commit([this](const Block& block, std::uint32_t strength,
-                                  SimTime now) {
-    observe_commit(config_.observer, config_.id, config_.f(), block, strength,
-                   now);
-    if (hooks_.on_commit) hooks_.on_commit(block, strength, now);
-  });
-  committer_.set_snapshot_hook([this] { maybe_snapshot(); });
+  root_at_tree();
+}
 
-  // Seed qc_high with the genesis QC so round-1 proposals extend genesis.
-  QuorumCert genesis_qc;
-  genesis_qc.block_id = tree_.genesis_id();
-  genesis_qc.round = 0;
-  genesis_qc.parent_id = BlockId{};
-  genesis_qc.parent_round = 0;
-  safety_.init_high_qc(genesis_qc);
-
+void ChainedCore::root_at_tree() {
+  // Seed qc_high with the root's QC so the next proposal extends the root
+  // (genesis on a fresh core, the snapshot tip after a restore).
+  QuorumCert root_qc;
+  root_qc.block_id = tree_.genesis_id();
+  root_qc.round = tree_.genesis().round;
+  root_qc.parent_id = tree_.genesis().parent_id;
+  safety_ = SafetyRules();
+  safety_.init_high_qc(root_qc);
   if (config_.mode != CoreMode::Plain || config_.fbft_mode) {
     tracker_ = std::make_unique<StrengthTracker>(tree_, config_.n,
                                                  config_.f(),
@@ -123,7 +118,7 @@ void ChainedCore::restore(const storage::RecoveredState& state) {
   sent_proposals_.clear();
   logged_proposals_.clear();
   awaiting_batches_.clear();
-  obs_certified_.clear();
+  lifecycle_.reset();
   last_proposed_payload_.reset();
   last_tc_ = state.high_tc;
 
@@ -132,17 +127,11 @@ void ChainedCore::restore(const storage::RecoveredState& state) {
   tree_ = state.tip ? chain::BlockTree::rooted_at(*state.tip)
                     : chain::BlockTree();
   ledger_.restore(state.ledger);
+  root_at_tree();
 
   // Safety: the WAL's voted round is the equivocation fence — r_vote is
   // restored *before* any block is re-learned, so even an adversarial
   // replay of the pre-crash proposal cannot extract a second vote.
-  safety_ = SafetyRules();
-  QuorumCert root_qc;
-  root_qc.block_id = tree_.genesis_id();
-  root_qc.round = tree_.genesis().round;
-  root_qc.parent_id = tree_.genesis().parent_id;
-  root_qc.parent_round = 0;
-  safety_.init_high_qc(root_qc);
   if (!state.high_qc.is_genesis()) safety_.observe_qc(state.high_qc);
   safety_.restore_locked_round(state.locked_round);
   safety_.record_vote(state.voted_round);
@@ -157,11 +146,6 @@ void ChainedCore::restore(const storage::RecoveredState& state) {
   }
   history_.from_records(std::move(frontier));
 
-  if (config_.mode != CoreMode::Plain || config_.fbft_mode) {
-    tracker_ = std::make_unique<StrengthTracker>(tree_, config_.n,
-                                                 config_.f(),
-                                                 config_.counting);
-  }
   // The rebuilt tracker cannot justify pre-crash strengths; trust peers'
   // commit logs for one leader rotation past the recovered frontier.
   trust_commit_log_below_ = state.high_qc.round + config_.n + 1;
@@ -245,6 +229,7 @@ void ChainedCore::on_sync_response(const types::SyncResponse& resp) {
 // ---------------------------------------------------------------- proposing
 
 void ChainedCore::on_round_entered(Round round) {
+  lifecycle_.round_entered(round, sched_.now());
   if (stopped_) return;
   // Fig. 2 timeout rule: entering round r stops voting for rounds < r.
   safety_.forbid_votes_below(round);
@@ -276,7 +261,7 @@ void ChainedCore::propose(Round round) {
   // block header, so the votes certifying the block also certify the Log (a
   // corrupted proposer cannot swap the Log under a certified block).
   std::vector<types::CommitLogEntry> commit_log;
-  if (config_.attach_commit_log && tracker_) {
+  if (config_.commit_log() && tracker_) {
     auto it = qc_updates_.find(high_qc.digest());
     if (it != qc_updates_.end()) {
       for (const StrengthUpdate& update : it->second) {
@@ -306,21 +291,7 @@ void ChainedCore::propose(Round round) {
 
   last_proposed_payload_ = {round, block.payload};
   sent_proposals_.push_back(proposal);
-  if (obs::Observer* obs = config_.observer) {
-    obs->count(config_.id, obs::Counter::kProposalsSent);
-    if (obs->recording()) {
-      obs->emit(obs::span_event("block", "proposed", config_.id, block.height,
-                                block.created_at, sched_.now(),
-                                {"round", round}, {"height", block.height}));
-    }
-    if (obs->tracing()) {
-      // Backpressure counter track: what the leader's mempool looked like
-      // right after draining this block's batch.
-      obs->emit_trace_only(obs::counter_event(
-          "mempool", "mempool_depth", config_.id, sched_.now(),
-          {"pending", static_cast<std::uint64_t>(pool_.pending())}));
-    }
-  }
+  lifecycle_.proposed(block, sched_.now(), pool_.pending());
   hooks_.broadcast_proposal(proposal);
 }
 
@@ -375,15 +346,7 @@ void ChainedCore::on_proposal(const Proposal& proposal) {
   const auto inserted = tree_.insert(block);
   if (inserted != chain::BlockTree::InsertResult::Inserted) return;
 
-  // Proposal arrival milestone (critical-path "proposal transit"). The
-  // proposer's own loopback delivery is excluded — it would zero the
-  // transit segment for every block.
-  if (obs::Observer* obs = config_.observer;
-      obs != nullptr && obs->recording() && block.proposer != config_.id) {
-    obs->emit(obs::span_event("block", "received", config_.id, block.height,
-                              block.created_at, sched_.now(),
-                              {"round", block.round}));
-  }
+  lifecycle_.received(block, sched_.now());
 
   // Locking rule + SFT endorsements + commit rules + Sec. 5 cache.
   observe_qc(block.qc, /*canonical=*/true);
@@ -447,17 +410,7 @@ void ChainedCore::retry_awaiting_payloads() {
   }
   // maybe_vote re-checks round/voted state itself, so a parked block whose
   // moment has passed is a silent no-op.
-  for (const types::Block& block : ready) {
-    // Dissem availability-wait milestone: the batches this block references
-    // are finally local (critical-path "dissem wait" ends here).
-    if (obs::Observer* obs = config_.observer;
-        obs != nullptr && obs->recording()) {
-      obs->emit(obs::instant_event("dissem", "payload_ready", config_.id,
-                                   sched_.now(), {"round", block.round},
-                                   {"height", block.height}));
-    }
-    maybe_vote(block);
-  }
+  for (const types::Block& block : ready) maybe_vote(block);
 }
 
 bool diembft_safe_to_vote(const Block& block, const SafetyRules& safety,
@@ -483,14 +436,7 @@ void ChainedCore::maybe_vote(const Block& block) {
   // WAL before wire: the vote must be durable before it can reach anyone,
   // or a crash-restart could vote twice in the round.
   persist_vote(&block, block.round);
-  if (obs::Observer* obs = config_.observer) {
-    obs->count(config_.id, obs::Counter::kVotesSent);
-    if (obs->recording()) {
-      obs->emit(obs::span_event("block", "voted", config_.id, block.height,
-                                block.created_at, sched_.now(),
-                                {"round", block.round}));
-    }
-  }
+  lifecycle_.voted(block, sched_.now());
   hooks_.send_vote(election_.leader_of(block.round + 1), vote);
 }
 
@@ -522,23 +468,10 @@ void ChainedCore::observe_qc(const QuorumCert& qc, bool canonical) {
   const Round prev_high = safety_.high_qc().round;
   safety_.observe_qc(qc);
   persist_qc_watermarks(qc, prev_high);
-  if (canonical && hooks_.on_canonical_qc && !qc.is_genesis()) {
+  if (canonical && !qc.is_genesis()) {
     if (const Block* certified = tree_.get(qc.block_id)) {
-      hooks_.on_canonical_qc(*certified, qc);
-    }
-  }
-  if (obs::Observer* obs = config_.observer;
-      obs != nullptr && canonical && !qc.is_genesis()) {
-    if (const Block* certified = tree_.get(qc.block_id);
-        certified != nullptr && obs_certified_.insert(qc.block_id).second) {
-      obs->count(config_.id, obs::Counter::kBlocksCertified);
-      obs->observe(config_.id, obs::Hist::kCertifyLatencyUs,
-                   sched_.now() - certified->created_at);
-      if (obs->recording()) {
-        obs->emit(obs::span_event("block", "certified", config_.id,
-                                  certified->height, certified->created_at,
-                                  sched_.now(), {"round", certified->round}));
-      }
+      if (hooks_.on_canonical_qc) hooks_.on_canonical_qc(*certified, qc);
+      lifecycle_.certified(*certified, sched_.now());
     }
   }
   if (canonical && tracker_) {
@@ -612,13 +545,8 @@ void ChainedCore::add_to_aggregator(const Vote& vote) {
     return;
   }
   if (pending.by_voter.emplace(vote.voter, vote).second) {
-    // Vote-arrival ordinals (the paper's strength clock): stamp the moment
-    // the (f+1)-th and (2f+1)-th distinct votes landed. The histograms are
-    // materialized at finalize_qc, when the block (and its created_at) is
-    // guaranteed known.
-    const std::size_t distinct = pending.by_voter.size();
-    if (distinct == config_.f() + 1) pending.f1_at = sched_.now();
-    if (distinct == config_.quorum()) pending.quorum_at = sched_.now();
+    lifecycle_.vote_arrived(vote.block_id, pending.by_voter.size(),
+                            sched_.now());
   }
   try_finalize_qc(vote.round, vote.block_id);
 }
@@ -668,26 +596,7 @@ void ChainedCore::finalize_qc(Round round, const BlockId& block_id) {
   const Block* block = tree_.get(block_id);
   if (block == nullptr) return;  // restored mid-flight: block no longer known
 
-  if (obs::Observer* obs = config_.observer) {
-    if (pending.f1_at > 0) {
-      obs->observe(config_.id, obs::Hist::kVoteF1LatencyUs,
-                   pending.f1_at - block->created_at);
-      if (obs->recording()) {
-        obs->emit(obs::instant_event("block", "vote_f1", config_.id,
-                                     pending.f1_at, {"round", round},
-                                     {"height", block->height}));
-      }
-    }
-    if (pending.quorum_at > 0) {
-      obs->observe(config_.id, obs::Hist::kVoteQuorumLatencyUs,
-                   pending.quorum_at - block->created_at);
-      if (obs->recording()) {
-        obs->emit(obs::instant_event("block", "vote_quorum", config_.id,
-                                     pending.quorum_at, {"round", round},
-                                     {"height", block->height}));
-      }
-    }
-  }
+  lifecycle_.vote_clock(*block);
 
   QuorumCert qc;
   qc.block_id = block_id;
@@ -709,6 +618,7 @@ void ChainedCore::finalize_qc(Round round, const BlockId& block_id) {
 // ----------------------------------------------------------------- timeouts
 
 void ChainedCore::on_local_timeout(Round round) {
+  lifecycle_.local_timeout(round, sched_.now());
   if (stopped_) return;
   const log::Scope log_scope(sched_.now(), config_.id);
   // Fig. 2: stop voting for round r, multicast ⟨timeout, r, qc_high⟩.
@@ -797,7 +707,7 @@ bool ChainedCore::validate_proposal(const Proposal& proposal) const {
 }
 
 bool ChainedCore::validate_commit_log(const Proposal& proposal) {
-  if (!config_.verify_commit_log || !tracker_) return true;
+  if (!config_.commit_log() || !tracker_) return true;
   // Post-restore grace (see trust_commit_log_below_): the rebuilt tracker
   // cannot re-derive pre-crash strengths, and rejecting every log-bearing
   // proposal would keep the replica out of the cluster forever.
@@ -846,12 +756,7 @@ void ChainedCore::persist_qc_watermarks(const QuorumCert& qc,
       std::max(persisted_locked_round_, qc.parent_round);
 }
 
-void ChainedCore::maybe_snapshot() {
-  if (!store_ || !store_->snapshot_due(ledger_.committed_blocks())) return;
-  const std::optional<Height> tip_height = ledger_.tip();
-  if (!tip_height) return;
-  const Block* tip = tree_.get(ledger_.at(*tip_height).block_id);
-  if (tip == nullptr) return;  // tip below the restored root; wait for sync
+storage::Envelope ChainedCore::snapshot_envelope() const {
   storage::Envelope envelope;
   envelope.voted_round = safety_.voted_round();
   envelope.locked_round = safety_.locked_round();
@@ -861,7 +766,7 @@ void ChainedCore::maybe_snapshot() {
   for (const VoteHistory::FrontierEntry& entry : history_.frontier()) {
     envelope.frontier.push_back({entry.block_id, entry.round, entry.height});
   }
-  store_->write_snapshot(*tip, ledger_.snapshot(), envelope);
+  return envelope;
 }
 
 }  // namespace sftbft::core

@@ -28,6 +28,8 @@
 // The core is transport-agnostic: outbound traffic goes through Hooks, and
 // inbound messages are fed to on_proposal / on_vote / on_timeout_msg.
 // engine::ReplicaHost wires it to the network with the protocol's wire tags.
+// Lifecycle reporting (every per-block trace event, counter and latency
+// histogram, round entries included) lives in core::Lifecycle.
 #pragma once
 
 #include <functional>
@@ -35,7 +37,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sftbft/chain/block_tree.hpp"
@@ -114,11 +115,6 @@ struct CoreConfig {
   /// Interval-vote window (Sec. 3.4): 0 = full history [1, r].
   Round interval_window = 0;
 
-  /// Sec. 5: attach strong-commit Log entries to proposals / verify them
-  /// before voting.
-  bool attach_commit_log = true;
-  bool verify_commit_log = true;
-
   /// Verify signatures on inbound messages. On by default; large-n sweeps
   /// may disable to trade fidelity for wall-clock (noted per experiment).
   bool verify_signatures = true;
@@ -136,6 +132,11 @@ struct CoreConfig {
 
   [[nodiscard]] std::uint32_t f() const { return (n - 1) / 3; }
   [[nodiscard]] std::uint32_t quorum() const { return 2 * f() + 1; }
+  /// Sec. 5: proposals carry strong-commit Log entries and voters verify
+  /// them. Off in the FBFT baseline: its endorser sets depend on extra-vote
+  /// arrival order, which differs per replica, so no Log it sealed could be
+  /// validated by every honest replica.
+  [[nodiscard]] bool commit_log() const { return !fbft_mode; }
 };
 
 class ChainedCore {
@@ -296,7 +297,9 @@ class ChainedCore {
   /// persisted watermarks (a QC below qc_high can still raise the lock, and
   /// a regressed lock across restart breaks the Fig. 2 locking rule).
   void persist_qc_watermarks(const types::QuorumCert& qc, Round prev_high);
-  void maybe_snapshot();
+  /// Fresh safety rules and strength tracker over the current tree root.
+  void root_at_tree();
+  [[nodiscard]] storage::Envelope snapshot_envelope() const;
 
   CoreConfig config_;
   sim::Scheduler& sched_;
@@ -307,6 +310,7 @@ class ChainedCore {
   crypto::Signer signer_;
   mempool::Mempool& pool_;
   Hooks hooks_;
+  Lifecycle lifecycle_;
 
   consensus::LeaderElection election_;
   chain::BlockTree tree_;
@@ -339,10 +343,6 @@ class ChainedCore {
     std::map<ReplicaId, types::Vote> by_voter;
     sim::TimerId extra_wait_timer = sim::kInvalidTimer;
     bool finalized = false;
-    /// Vote-arrival ordinals (the paper's strength clock): sim time when the
-    /// (f+1)-th / (2f+1)-th distinct vote landed; 0 = not reached yet.
-    SimTime f1_at = 0;
-    SimTime quorum_at = 0;
   };
   std::map<Round, std::unordered_map<types::BlockId, PendingVotes>> votes_;
 
@@ -375,11 +375,6 @@ class ChainedCore {
   // The payload of the block this replica last proposed but that never got
   // certified (returned to the mempool on timeout).
   std::optional<std::pair<Round, types::Payload>> last_proposed_payload_;
-
-  /// Blocks whose certification was already counted/traced — observe_qc
-  /// legitimately replays canonical QCs on the sync path, and replays must
-  /// not double-count. Populated only when an observer is attached.
-  std::unordered_set<types::BlockId> obs_certified_;
 };
 
 }  // namespace sftbft::core

@@ -12,23 +12,13 @@
 #include "sftbft/chain/block_tree.hpp"
 #include "sftbft/chain/ledger.hpp"
 #include "sftbft/common/types.hpp"
+#include "sftbft/core/lifecycle.hpp"
 #include "sftbft/dissem/batch_store.hpp"
 #include "sftbft/mempool/mempool.hpp"
 #include "sftbft/sim/scheduler.hpp"
 #include "sftbft/storage/replica_store.hpp"
 
-namespace sftbft::obs {
-class Observer;
-}  // namespace sftbft::obs
-
 namespace sftbft::core {
-
-/// The obs side of a commit notification, shared by every core: counts a
-/// commit (strength <= f) or a strong commit, records its latency from block
-/// creation, and emits the block's span event. `obs` may be null (off).
-void observe_commit(obs::Observer* obs, ReplicaId id, std::uint32_t f,
-                    const types::Block& block, std::uint32_t strength,
-                    SimTime now);
 
 class Committer {
  public:
@@ -38,18 +28,22 @@ class Committer {
       std::function<void(const types::Block&, std::uint32_t, SimTime)>;
 
   /// All references must outlive the committer. `store` may be null (no
-  /// persistence); `snapshot_hook` (may be empty) runs after each commit
-  /// walk so the owning core can write its protocol-specific snapshot
-  /// envelope on the store's cadence.
+  /// persistence). Each commit is reported to `lifecycle`, then to
+  /// `on_commit` (may be empty). When the store's snapshot cadence comes
+  /// due after a commit walk, `envelope` supplies the owning core's
+  /// protocol-specific safety state for the snapshot.
   Committer(const chain::BlockTree& tree, chain::Ledger& ledger,
-            mempool::Mempool& pool, sim::Scheduler& sched)
-      : tree_(&tree), ledger_(&ledger), pool_(&pool), sched_(&sched) {}
-
-  void set_store(storage::ReplicaStore* store) { store_ = store; }
-  void set_on_commit(OnCommit hook) { on_commit_ = std::move(hook); }
-  void set_snapshot_hook(std::function<void()> hook) {
-    snapshot_hook_ = std::move(hook);
-  }
+            mempool::Mempool& pool, sim::Scheduler& sched,
+            storage::ReplicaStore* store, const Lifecycle& lifecycle,
+            OnCommit on_commit, std::function<storage::Envelope()> envelope)
+      : tree_(&tree),
+        ledger_(&ledger),
+        pool_(&pool),
+        sched_(&sched),
+        store_(store),
+        lifecycle_(&lifecycle),
+        on_commit_(std::move(on_commit)),
+        envelope_(std::move(envelope)) {}
 
   /// Dissemination mode: digest-referencing payloads are resolved against
   /// `batches` before the ledger append (so committed-transaction counts
@@ -68,8 +62,8 @@ class Committer {
   /// Commits `head` and all its ancestors at `strength` (strong commit
   /// rule: "x-strong commits a block B_k and all its ancestors"). Stops as
   /// soon as a block already has the strength — deeper ancestors then do
-  /// too. Ledger entries are WAL'd when a store is wired, and the snapshot
-  /// hook runs once afterwards.
+  /// too. Ledger entries are WAL'd when a store is wired, and a due
+  /// snapshot is written once afterwards.
   void commit_chain(const types::Block& head, std::uint32_t strength) {
     for (const types::Block* block = &head;
          block != nullptr && block->height > 0;
@@ -95,21 +89,32 @@ class Committer {
         pool_->mark_committed(target->payload);
       }
       if (store_) store_->record_commit(ledger_->at(block->height));
+      lifecycle_->committed(*block, strength, sched_->now());
       if (on_commit_) on_commit_(*block, strength, sched_->now());
     }
-    if (snapshot_hook_) snapshot_hook_();
+    maybe_snapshot();
   }
 
  private:
+  void maybe_snapshot() {
+    if (!store_ || !store_->snapshot_due(ledger_->committed_blocks())) return;
+    const std::optional<Height> tip_height = ledger_->tip();
+    if (!tip_height) return;
+    const types::Block* tip = tree_->get(ledger_->at(*tip_height).block_id);
+    if (tip == nullptr) return;  // tip below the restored root; wait for sync
+    store_->write_snapshot(*tip, ledger_->snapshot(), envelope_());
+  }
+
   const chain::BlockTree* tree_;
   chain::Ledger* ledger_;
   mempool::Mempool* pool_;
   sim::Scheduler* sched_;
-  storage::ReplicaStore* store_ = nullptr;
+  storage::ReplicaStore* store_;
+  const Lifecycle* lifecycle_;
+  OnCommit on_commit_;
+  std::function<storage::Envelope()> envelope_;
   dissem::BatchStore* batch_store_ = nullptr;
   std::function<void(const std::vector<crypto::Sha256Digest>&)> pull_batches_;
-  OnCommit on_commit_;
-  std::function<void()> snapshot_hook_;
 };
 
 }  // namespace sftbft::core

@@ -80,7 +80,9 @@ RunManifest Scenario::manifest() const {
   digest.mix(mean_interarrival);
   digest.mix(verify_signatures ? 1 : 0);
   digest.mix(interval_window);
-  digest.mix(attach_commit_log ? 1 : 0);
+  // The retired, always-on commit-log switch (CoreConfig::commit_log()):
+  // mixing its value keeps stored digests (bench/baselines) valid.
+  digest.mix(1);
   digest.mix(dissemination ? 1 : 0);
   digest.mix(duration);
   digest.mix(warmup);
@@ -278,11 +280,6 @@ engine::DeploymentConfig Scenario::to_deployment_config() const {
   }
   deployment.chained.max_batch = max_batch;
   deployment.chained.interval_window = interval_window;
-  // The FBFT baseline's endorser sets depend on extra-vote arrival order,
-  // which differs per replica, so its proposals cannot carry a Log that
-  // every honest replica can validate — disable Sec. 5 there.
-  deployment.chained.attach_commit_log = attach_commit_log && !fbft;
-  deployment.chained.verify_commit_log = attach_commit_log && !fbft;
   deployment.chained.verify_signatures = verify_signatures;
 
   deployment.streamlet.delta_bound = streamlet_delta_bound;

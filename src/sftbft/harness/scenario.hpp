@@ -131,7 +131,6 @@ struct Scenario {
   SimDuration mean_interarrival = 0;
   bool verify_signatures = true;
   Round interval_window = 0;
-  bool attach_commit_log = true;
 
   /// Batch dissemination data plane (sftbft::dissem): digest-referencing
   /// proposals, continuous batch push off the critical path, admission

@@ -10,6 +10,8 @@ namespace sftbft::obs {
 
 namespace {
 
+namespace ev = event;  // analyze() names its loop variable `event`
+
 constexpr SimTime kUnset = std::numeric_limits<SimTime>::max();
 
 /// (height, round) — the trace-wide block identity. Lifecycle spans carry
@@ -112,7 +114,7 @@ CriticalPathResult CriticalPathAnalyzer::analyze(
   };
 
   for (const TraceEvent& event : events) {
-    if (event.phase == 'X' && std::strcmp(event.category, "block") == 0) {
+    if (event.phase == 'X' && std::strcmp(event.category, ev::kBlock) == 0) {
       std::uint64_t round = 0;
       if (!find_arg(event, "round", round)) continue;
       const BlockKey key{event.lane, round};
@@ -121,13 +123,13 @@ CriticalPathResult CriticalPathAnalyzer::analyze(
       keep_min(m.created, event.ts);
       const SimTime end = event.ts + event.dur;
       const char* name = event.name;
-      if (std::strcmp(name, "received") == 0) {
+      if (std::strcmp(name, ev::kReceived) == 0) {
         keep_min(m.received, end);
-      } else if (std::strcmp(name, "certified") == 0) {
+      } else if (std::strcmp(name, ev::kCertified) == 0) {
         keep_min(m.certified, end);
       } else if (event.replica == observer &&
-                 (std::strcmp(name, "committed") == 0 ||
-                  std::strcmp(name, "strong_commit") == 0)) {
+                 (std::strcmp(name, ev::kCommitted) == 0 ||
+                  std::strcmp(name, ev::kStrongCommit) == 0)) {
         auto [it, inserted] = commits.try_emplace(key, end);
         if (!inserted) it->second = std::min(it->second, end);
       }
@@ -140,13 +142,13 @@ CriticalPathResult CriticalPathAnalyzer::analyze(
       }
       const BlockKey key{height, round};
       const char* name = event.name;
-      if (std::strcmp(event.category, "dissem") == 0 &&
-          std::strcmp(name, "payload_ready") == 0) {
+      if (std::strcmp(event.category, ev::kDissem) == 0 &&
+          std::strcmp(name, ev::kPayloadReady) == 0) {
         keep_min(milestones_for(key).payload_ready, event.ts);
-      } else if (std::strcmp(event.category, "block") == 0) {
-        if (std::strcmp(name, "vote_f1") == 0) {
+      } else if (std::strcmp(event.category, ev::kBlock) == 0) {
+        if (std::strcmp(name, ev::kVoteF1) == 0) {
           keep_min(milestones_for(key).f1, event.ts);
-        } else if (std::strcmp(name, "vote_quorum") == 0) {
+        } else if (std::strcmp(name, ev::kVoteQuorum) == 0) {
           keep_min(milestones_for(key).quorum, event.ts);
         }
       }

@@ -64,6 +64,28 @@ struct TraceEvent {
   std::array<Arg, 3> args{};  ///< numeric args, in declaration order
 };
 
+/// The block-lifecycle vocabulary, emitted by core::Lifecycle and read back
+/// by CriticalPathAnalyzer: categories, then event names.
+namespace event {
+inline constexpr char kBlock[] = "block";
+inline constexpr char kPacemaker[] = "pacemaker";
+inline constexpr char kDissem[] = "dissem";
+inline constexpr char kMempool[] = "mempool";
+inline constexpr char kProposed[] = "proposed";
+inline constexpr char kReceived[] = "received";
+inline constexpr char kPayloadReady[] = "payload_ready";  // digest mode only
+inline constexpr char kVoted[] = "voted";
+inline constexpr char kVoteF1[] = "vote_f1";
+inline constexpr char kVoteQuorum[] = "vote_quorum";
+inline constexpr char kCertified[] = "certified";
+inline constexpr char kCommitted[] = "committed";
+inline constexpr char kStrongCommit[] = "strong_commit";
+inline constexpr char kRoundEnter[] = "round_enter";
+inline constexpr char kTimeout[] = "timeout";
+inline constexpr char kRound[] = "round";                  // counter track
+inline constexpr char kMempoolDepth[] = "mempool_depth";  // counter track
+}  // namespace event
+
 /// Convenience constructors (keep call sites one-liners).
 [[nodiscard]] TraceEvent instant_event(const char* category, const char* name,
                                        ReplicaId replica, SimTime ts,

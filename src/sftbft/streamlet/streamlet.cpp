@@ -5,7 +5,6 @@
 
 #include "sftbft/common/codec.hpp"
 #include "sftbft/common/logging.hpp"
-#include "sftbft/obs/observer.hpp"
 
 namespace sftbft::streamlet {
 
@@ -163,9 +162,12 @@ StreamletCore::StreamletCore(
       signer_(registry_->signer_for(config.id)),
       pool_(pool),
       hooks_(std::move(hooks)),
+      lifecycle_(config.observer, config.id, config.f(),
+                 static_cast<bool>(hooks_.payload_available)),
       store_(store),
       history_(tree_),
-      committer_(tree_, ledger_, pool, sched),
+      committer_(tree_, ledger_, pool, sched, store, lifecycle_,
+                 hooks_.on_commit, [this] { return snapshot_envelope(); }),
       sync_(core::SyncClient::Config{.id = config.id,
                                      .n = config.n,
                                      .retry_after = 8 * config.delta_bound,
@@ -190,21 +192,17 @@ StreamletCore::StreamletCore(
                      tip->round + 8 >= round_;
             }) {
   cache_ = crypto::VerifyCache(config_.observer, config_.id);
-  committer_.set_store(store_);
-  committer_.set_on_commit([this](const Block& block, std::uint32_t strength,
-                                  SimTime now) {
-    core::observe_commit(config_.observer, config_.id, config_.f(), block,
-                         strength, now);
-    if (hooks_.on_commit) hooks_.on_commit(block, strength, now);
-  });
-  committer_.set_snapshot_hook([this] { maybe_snapshot(); });
-  endorsements_ = std::make_unique<core::StrengthTracker>(
-      tree_, config_.n, config_.f(), config_.counting);
+  root_at_tree();
+}
 
-  // Genesis is certified by definition and roots the longest chain.
+void StreamletCore::root_at_tree() {
+  // The root (genesis, or the restored snapshot tip) is certified by
+  // definition and roots the longest chain.
   certified_.insert(tree_.genesis_id());
   longest_tip_ = tree_.genesis_id();
-  longest_height_ = 0;
+  longest_height_ = tree_.genesis().height;
+  endorsements_ = std::make_unique<core::StrengthTracker>(
+      tree_, config_.n, config_.f(), config_.counting);
 }
 
 void StreamletCore::start() { on_round_tick(); }
@@ -218,22 +216,9 @@ void StreamletCore::stop() {
 void StreamletCore::on_round_tick() {
   if (stopped_) return;
   ++round_;
-  // Lock-step round entry is Streamlet's "pacemaker": same metric keys as
-  // the chained cores' Pacemaker so cross-engine snapshots stay comparable.
-  if (obs::Observer* obs = config_.observer) {
-    obs->count(config_.id, obs::Counter::kRoundsEntered);
-    obs->gauge(config_.id, obs::Gauge::kRound,
-               static_cast<std::int64_t>(round_));
-    if (obs->recording()) {
-      obs->emit(obs::instant_event("pacemaker", "round_enter", config_.id,
-                                   sched_.now(), {"round", round_}));
-    }
-    if (obs->tracing()) {
-      obs->emit_trace_only(obs::counter_event("pacemaker", "round", config_.id,
-                                              sched_.now(),
-                                              {"round", round_}));
-    }
-  }
+  // Lock-step round entry is Streamlet's pacemaker, reported like the
+  // chained cores' round entries so cross-engine snapshots stay comparable.
+  lifecycle_.round_entered(round_, sched_.now());
   voted_this_round_ = false;
   awaiting_batches_.reset();  // a deferred vote cannot cross rounds
   if (round_ % config_.n == config_.id && !awaiting_sync_) propose();
@@ -251,17 +236,13 @@ void StreamletCore::restore(const storage::RecoveredState& state) {
   certified_.clear();
   certs_.clear();
   triple_strength_.clear();
-  vote_clock_.clear();
   awaiting_batches_.reset();
+  lifecycle_.reset();
 
   tree_ = state.tip ? chain::BlockTree::rooted_at(*state.tip)
                     : chain::BlockTree();
   ledger_.restore(state.ledger);
-  certified_.insert(tree_.genesis_id());  // the root is trusted/certified
-  longest_tip_ = tree_.genesis_id();
-  longest_height_ = tree_.genesis().height;
-  endorsements_ = std::make_unique<core::StrengthTracker>(
-      tree_, config_.n, config_.f(), config_.counting);
+  root_at_tree();
 
   // Voted frontier: entries with known blocks are restored exactly; the
   // rest stay in the frontier as the kernel's conservative marker floor
@@ -432,22 +413,7 @@ void StreamletCore::propose() {
   SProposal proposal;
   proposal.block = block;
   proposal.sig = signer_.sign(proposal.signing_bytes());
-  if (obs::Observer* obs = config_.observer) {
-    obs->count(config_.id, obs::Counter::kProposalsSent);
-    if (obs->recording()) {
-      obs->emit(obs::span_event("block", "proposed", config_.id, block.height,
-                                block.created_at, sched_.now(),
-                                {"round", block.round},
-                                {"height", block.height}));
-    }
-    if (obs->tracing()) {
-      // Backpressure counter track: leader's mempool after draining the
-      // batch for this block.
-      obs->emit_trace_only(obs::counter_event(
-          "mempool", "mempool_depth", config_.id, sched_.now(),
-          {"pending", static_cast<std::uint64_t>(pool_.pending())}));
-    }
-  }
+  lifecycle_.proposed(block, sched_.now(), pool_.pending());
   hooks_.broadcast_proposal(proposal);
 }
 
@@ -485,14 +451,7 @@ void StreamletCore::on_proposal(const SProposal& proposal) {
   }
   if (inserted == chain::BlockTree::InsertResult::Inserted) {
     if (hooks_.on_block_seen) hooks_.on_block_seen(block);
-    // Proposal arrival milestone (critical-path "proposal transit");
-    // proposer's own loopback delivery excluded.
-    if (obs::Observer* obs = config_.observer;
-        obs != nullptr && obs->recording() && block.proposer != config_.id) {
-      obs->emit(obs::span_event("block", "received", config_.id, block.height,
-                                block.created_at, sched_.now(),
-                                {"round", block.round}));
-    }
+    lifecycle_.received(block, sched_.now());
     // Votes may have arrived (via echo) before the proposal.
     try_certify(block.id);
     maybe_vote(block);
@@ -520,14 +479,6 @@ void StreamletCore::maybe_vote(const Block& block) {
     if (hooks_.fetch_payload) hooks_.fetch_payload(block.payload);
     return;
   }
-  // Dissem availability-wait milestone: the gate passed (immediately, or on
-  // a retry after the missing batches landed).
-  if (obs::Observer* obs = config_.observer;
-      obs != nullptr && obs->recording() && hooks_.payload_available) {
-    obs->emit(obs::instant_event("dissem", "payload_ready", config_.id,
-                                 sched_.now(), {"round", block.round},
-                                 {"height", block.height}));
-  }
   voted_this_round_ = true;
   voted_round_ = block.round;
   if (store_) {
@@ -546,15 +497,7 @@ void StreamletCore::maybe_vote(const Block& block) {
   // Update the voted frontier (one entry per fork) — the kernel maintains
   // it and derives markers for later votes.
   history_.record_vote(block);
-
-  if (obs::Observer* obs = config_.observer) {
-    obs->count(config_.id, obs::Counter::kVotesSent);
-    if (obs->recording()) {
-      obs->emit(obs::span_event("block", "voted", config_.id, block.height,
-                                block.created_at, sched_.now(),
-                                {"round", block.round}));
-    }
-  }
+  lifecycle_.voted(block, sched_.now());
   hooks_.broadcast_vote(vote);
 }
 
@@ -583,15 +526,7 @@ void StreamletCore::ingest_vote(const SVote& vote, bool allow_echo) {
   }
   auto& per_voter = votes_[vote.block_id];
   if (!per_voter.emplace(vote.voter, vote).second) return;  // duplicate
-  if (config_.observer != nullptr) {
-    // Vote-arrival ordinals (strength clock); consumed at certification.
-    const std::size_t distinct = per_voter.size();
-    if (distinct == config_.f() + 1 || distinct == config_.quorum()) {
-      VoteClock& clock = vote_clock_[vote.block_id];
-      if (distinct == config_.f() + 1) clock.f1_at = sched_.now();
-      if (distinct == config_.quorum()) clock.quorum_at = sched_.now();
-    }
-  }
+  lifecycle_.vote_arrived(vote.block_id, per_voter.size(), sched_.now());
   if (hooks_.on_vote_seen) hooks_.on_vote_seen(vote);
   if (allow_echo && config_.echo && hooks_.echo) hooks_.echo(SMessage{vote});
   if (config_.sft) {
@@ -615,48 +550,14 @@ void StreamletCore::try_certify(const BlockId& id) {
   mark_certified(*block);
 }
 
-void StreamletCore::mark_certified(const Block& block_ref) {
-  const Block* block = &block_ref;
-  const BlockId id = block->id;
-  if (obs::Observer* obs = config_.observer) {
-    obs->count(config_.id, obs::Counter::kBlocksCertified);
-    obs->observe(config_.id, obs::Hist::kCertifyLatencyUs,
-                 sched_.now() - block->created_at);
-    if (obs->recording()) {
-      obs->emit(obs::span_event("block", "certified", config_.id,
-                                block->height, block->created_at, sched_.now(),
-                                {"round", block->round}));
-    }
-    if (const auto clock_it = vote_clock_.find(id);
-        clock_it != vote_clock_.end()) {
-      const VoteClock& clock = clock_it->second;
-      if (clock.f1_at > 0) {
-        obs->observe(config_.id, obs::Hist::kVoteF1LatencyUs,
-                     clock.f1_at - block->created_at);
-        if (obs->recording()) {
-          obs->emit(obs::instant_event("block", "vote_f1", config_.id,
-                                       clock.f1_at, {"round", block->round},
-                                       {"height", block->height}));
-        }
-      }
-      if (clock.quorum_at > 0) {
-        obs->observe(config_.id, obs::Hist::kVoteQuorumLatencyUs,
-                     clock.quorum_at - block->created_at);
-        if (obs->recording()) {
-          obs->emit(obs::instant_event("block", "vote_quorum", config_.id,
-                                       clock.quorum_at,
-                                       {"round", block->round},
-                                       {"height", block->height}));
-        }
-      }
-      vote_clock_.erase(clock_it);
-    }
+void StreamletCore::mark_certified(const Block& block) {
+  lifecycle_.certified(block, sched_.now());
+  lifecycle_.vote_clock(block);
+  if (block.height > longest_height_) {
+    longest_height_ = block.height;
+    longest_tip_ = block.id;
   }
-  if (block->height > longest_height_) {
-    longest_height_ = block->height;
-    longest_tip_ = id;
-  }
-  check_commits(id);
+  check_commits(block.id);
 }
 
 std::uint32_t StreamletCore::k_endorser_count(const BlockId& id,
@@ -691,12 +592,7 @@ void StreamletCore::evaluate_triple(const Block& middle) {
   }
 }
 
-void StreamletCore::maybe_snapshot() {
-  if (!store_ || !store_->snapshot_due(ledger_.committed_blocks())) return;
-  const std::optional<Height> tip_height = ledger_.tip();
-  if (!tip_height) return;
-  const Block* tip = tree_.get(ledger_.at(*tip_height).block_id);
-  if (tip == nullptr) return;  // tip below the restored root; wait for sync
+storage::Envelope StreamletCore::snapshot_envelope() const {
   // Streamlet has no chain-embedded QC or TC; the envelope carries stubs so
   // the shared snapshot format stays uniform. The kernel frontier includes
   // restored-but-never-resynced records, which must survive further
@@ -708,7 +604,7 @@ void StreamletCore::maybe_snapshot() {
   for (const core::VoteHistory::FrontierEntry& entry : history_.frontier()) {
     envelope.frontier.push_back({entry.block_id, entry.round, entry.height});
   }
-  store_->write_snapshot(*tip, ledger_.snapshot(), envelope);
+  return envelope;
 }
 
 }  // namespace sftbft::streamlet

@@ -25,7 +25,8 @@
 // strength accounting, the commit-chain walk, block-sync policy — is the
 // shared sftbft::core kernel; this module keeps only Streamlet's lock-step
 // protocol rules (round ticking, longest-chain voting, certification, the
-// triple commit rule's driver).
+// triple commit rule's driver). Lifecycle reporting goes through the chained
+// cores' core::Lifecycle, so all engines share one trace vocabulary.
 #pragma once
 
 #include <functional>
@@ -281,18 +282,20 @@ class StreamletCore {
  private:
   void on_round_tick();
   void schedule_tick(SimTime at);
+  /// Certifies the tree root and rebuilds the endorsement accounting.
+  void root_at_tree();
   void propose();
   void maybe_vote(const types::Block& block);
   /// on_vote minus the echo (sync responses replay old votes; re-echoing
   /// them would flood the network with stale traffic).
   void ingest_vote(const SVote& vote, bool allow_echo);
   void try_certify(const types::BlockId& id);
-  /// Marks a block certified (obs, longest-tip update, commit checks) —
+  /// Marks a block certified (lifecycle, longest-tip update, commit checks) —
   /// shared by the vote-quorum path and the sync certificate path.
   void mark_certified(const types::Block& block);
   void check_commits(const types::BlockId& id);
   void evaluate_triple(const types::Block& middle);
-  void maybe_snapshot();
+  [[nodiscard]] storage::Envelope snapshot_envelope() const;
 
   StreamletConfig config_;
   sim::Scheduler& sched_;
@@ -300,6 +303,7 @@ class StreamletCore {
   crypto::Signer signer_;
   mempool::Mempool& pool_;
   Hooks hooks_;
+  core::Lifecycle lifecycle_;
   storage::ReplicaStore* store_;  // null = no persistence
 
   chain::BlockTree tree_;
@@ -335,16 +339,6 @@ class StreamletCore {
   /// Verified certificates received via sync, kept so this replica can
   /// re-serve sync even though it never saw the individual votes.
   std::unordered_map<types::BlockId, SCert> certs_;
-
-  /// Vote-arrival ordinals per block (the paper's strength clock): when the
-  /// (f+1)-th / (2f+1)-th distinct vote landed locally. Every replica
-  /// tallies in Streamlet, so every replica carries its own clock; entries
-  /// are consumed (erased) at certification.
-  struct VoteClock {
-    SimTime f1_at = 0;
-    SimTime quorum_at = 0;
-  };
-  std::unordered_map<types::BlockId, VoteClock> vote_clock_;
 
   /// Longest certified tip (ties broken by lower id for determinism).
   types::BlockId longest_tip_{};

@@ -124,7 +124,7 @@ TEST(Scenario, DeploymentConfigReflectsFields) {
   EXPECT_EQ(config.chained.mode, consensus::CoreMode::Plain);  // forced
   ASSERT_TRUE(config.chained.extra_wait);
   EXPECT_EQ(config.chained.extra_wait(1), millis(30));
-  EXPECT_FALSE(config.chained.attach_commit_log);  // disabled under FBFT
+  EXPECT_FALSE(config.chained.commit_log());  // derived: off under FBFT
 }
 
 TEST(Scenario, DeploymentConfigCarriesStreamletFields) {

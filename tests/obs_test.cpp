@@ -4,6 +4,7 @@
 // identical metric key sets on DiemBFT, chained HotStuff, and Streamlet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -12,6 +13,8 @@
 #include <vector>
 
 #include <map>
+#include <set>
+#include <tuple>
 
 #include "sftbft/harness/perf_gate.hpp"
 #include "sftbft/harness/scenario.hpp"
@@ -431,6 +434,108 @@ TEST(ObsConformance, FlowEventsAreWellFormedAndCounterTracksPresent) {
   }
   EXPECT_TRUE(saw_mempool_counter);
   EXPECT_TRUE(saw_round_counter);
+}
+
+/// Runs `s` traced into `path` (cwd = the ctest build dir) and returns the
+/// trace's event array; the file is removed again.
+std::vector<harness::JsonValue> traced_events(harness::Scenario s,
+                                              const std::string& path) {
+  s.trace_path = path;
+  const harness::ScenarioResult r = harness::run_scenario(s);
+  EXPECT_GT(r.summary.committed_blocks, 0u) << path;
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  std::remove(path.c_str());
+  const auto doc = harness::JsonValue::parse(buffer.str());
+  if (!doc.has_value() || doc->find("traceEvents") == nullptr) {
+    ADD_FAILURE() << path << ": unparseable trace";
+    return {};
+  }
+  return doc->find("traceEvents")->array;
+}
+
+double number_at(const harness::JsonValue& value, const char* key) {
+  const harness::JsonValue* member = value.find(key);
+  return member != nullptr ? member->number : -1.0;
+}
+
+TEST(ObsConformance, OneLifecycleVocabularyOnEveryEngine) {
+  // Every engine reports the block lifecycle through one module, so each
+  // yields the same (category, name, arg keys) set for its "block" events
+  // and pacemaker round entries.
+  using Entry = std::tuple<std::string, std::string, std::vector<std::string>>;
+  std::vector<std::set<Entry>> vocabularies;
+  for (const engine::Protocol protocol : engine::kAllProtocols) {
+    harness::Scenario s = small_scenario(protocol);
+    s.duration = seconds(5);
+    std::set<Entry> vocabulary;
+    for (const harness::JsonValue& e : traced_events(
+             s, std::string("obs_test_vocab_") +
+                    engine::protocol_name(protocol) + ".json")) {
+      const harness::JsonValue* cat = e.find("cat");
+      const harness::JsonValue* name = e.find("name");
+      if (cat == nullptr || name == nullptr) continue;
+      const bool round_enter = cat->string == event::kPacemaker &&
+                               name->string == event::kRoundEnter;
+      if (cat->string != event::kBlock && !round_enter) continue;
+      std::vector<std::string> keys;
+      if (const harness::JsonValue* args = e.find("args")) {
+        for (const auto& [key, value] : args->object) keys.push_back(key);
+      }
+      vocabulary.emplace(cat->string, name->string, std::move(keys));
+    }
+    vocabularies.push_back(std::move(vocabulary));
+  }
+  // Every lifecycle stage appears (committed and strong_commit included).
+  EXPECT_EQ(vocabularies[0].size(), 9u);
+  for (std::size_t i = 1; i < vocabularies.size(); ++i) {
+    EXPECT_EQ(vocabularies[i], vocabularies[0])
+        << engine::protocol_name(engine::kAllProtocols[i]);
+  }
+}
+
+TEST(ObsConformance, DigestModeReportsPayloadReadyForEveryVote) {
+  // In digest mode a vote waits on the availability gate; the gate pass is
+  // the critical path's "dissem wait" milestone, so every vote on every
+  // engine must carry a payload_ready instant for the same (replica,
+  // height, round), at or before the vote — whether the gate passed on
+  // arrival or on a retry after the missing batches landed.
+  for (const engine::Protocol protocol : engine::kAllProtocols) {
+    harness::Scenario s = small_scenario(protocol);
+    s.duration = seconds(5);
+    s.dissemination = true;
+    using Key = std::tuple<double, double, double>;  // replica, height, round
+    std::map<Key, double> ready;                     // earliest gate pass
+    std::vector<std::pair<Key, double>> votes;       // vote instants
+    for (const harness::JsonValue& e : traced_events(
+             s, std::string("obs_test_digest_") +
+                    engine::protocol_name(protocol) + ".json")) {
+      const harness::JsonValue* name = e.find("name");
+      const harness::JsonValue* args = e.find("args");
+      if (name == nullptr || args == nullptr) continue;
+      if (name->string == event::kPayloadReady) {
+        const Key key{number_at(e, "pid"), number_at(*args, "height"),
+                      number_at(*args, "round")};
+        const double ts = number_at(e, "ts");
+        const auto [it, inserted] = ready.emplace(key, ts);
+        if (!inserted) it->second = std::min(it->second, ts);
+      } else if (name->string == event::kVoted) {
+        votes.emplace_back(Key{number_at(e, "pid"), number_at(e, "tid"),
+                               number_at(*args, "round")},
+                           number_at(e, "ts") + number_at(e, "dur"));
+      }
+    }
+    ASSERT_FALSE(votes.empty()) << engine::protocol_name(protocol);
+    std::size_t unexplained = 0;
+    for (const auto& [key, voted_at] : votes) {
+      const auto it = ready.find(key);
+      if (it == ready.end() || it->second > voted_at) ++unexplained;
+    }
+    EXPECT_EQ(unexplained, 0u)
+        << engine::protocol_name(protocol) << ": " << unexplained << " of "
+        << votes.size() << " votes without a prior payload_ready";
+  }
 }
 
 TEST(ObsConformance, WireDelayHistogramsCoverTheTraffic) {

@@ -137,13 +137,15 @@ TEST(Safety, CommitLogOverstatementsBlockVotes) {
   // never trigger the rejection (logs are consistent), via progress.
   SafetyAuditor auditor;
   auto config = stress_config(7, CoreMode::SftMarker, 13);
-  config.chained.attach_commit_log = true;
-  config.chained.verify_commit_log = true;
+  // Outside the FBFT baseline the core attaches and verifies commit logs.
+  ASSERT_TRUE(config.chained.commit_log());
   Deployment cluster(config, auditor.observer());
   cluster.start();
   cluster.run_for(seconds(10));
   EXPECT_GT(cluster.ledger(0).committed_blocks(), 20u);
   EXPECT_EQ(auditor.violations, 0u);
+  // Log-bearing proposals went out, passed verification and were kept.
+  EXPECT_FALSE(cluster.chained_core(0).logged_proposals().empty());
 }
 
 }  // namespace
