@@ -13,6 +13,7 @@
 // HotStuff 0x2x tags included), and --smoke writes it as BENCH_wire.json
 // for CI to archive. Sweep cells are independent deterministic runs;
 // --jobs N executes them on a thread pool with stable output ordering.
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -62,9 +63,14 @@ harness::Scenario complexity_scenario(engine::Protocol protocol,
   s.topo = harness::Scenario::Topo::Symmetric3;
   s.delta = millis(100);
   s.fbft = fbft;
-  // Streamlet is lock-step: give rounds a realistic Δ and keep the echo on
-  // (its O(n^3) is the point of measuring it).
-  s.streamlet_delta_bound = millis(120);
+  // Streamlet is lock-step: keep the echo on (its O(n^3) is the point of
+  // measuring it) and give rounds a Δ that covers delta + jitter plus the
+  // echo's queueing — at Δ = 120 ms the n = 31 cell's proposal transit p99
+  // (~270 ms) outlasted the 2Δ round and the cluster never decided. Every
+  // cell mixes Δ into its config digest, so only the Streamlet cell takes
+  // the new value and the other manifests stay put.
+  s.streamlet_delta_bound =
+      protocol == engine::Protocol::Streamlet ? millis(200) : millis(120);
   // Metrics (not tracing): the transport's per-WireType transit/queueing
   // histograms feed the delay columns of the per-type wire tables.
   s.obs.enabled = true;
@@ -135,6 +141,25 @@ int main(int argc, char** argv) {
   }
   const std::vector<harness::ScenarioResult> results =
       run_scenarios(sweep, args.jobs);
+  // A cell that commits nothing in its window under a clean fault spec
+  // describes a cluster that never decided: its rows are not data. Fail the
+  // run (after writing the artifacts, for diagnosis).
+  bool stalled = false;
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    const auto faults = sweep[i].effective_faults();
+    const bool clean = std::all_of(
+        faults.begin(), faults.end(), [](const engine::FaultSpec& f) {
+          return f.kind == engine::FaultSpec::Kind::Honest;
+        });
+    if (clean && results[i].window_blocks == 0) {
+      std::fprintf(stderr, "[tab_msg_complexity] %s n=%u%s%s committed no "
+                           "block in its window\n",
+                   engine::protocol_name(sweep[i].protocol), sweep[i].n,
+                   sweep[i].fbft ? " fbft" : "",
+                   sweep[i].dissemination ? " digest" : "");
+      stalled = true;
+    }
+  }
 
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const std::uint32_t n = sizes[i];
@@ -263,5 +288,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return 0;
+  return stalled ? 1 : 0;
 }

@@ -36,6 +36,12 @@ Ledger::CommitResult Ledger::commit(const types::Block& block,
   return CommitResult::NoChange;
 }
 
+void Ledger::credit_txns(Height height, std::uint64_t txns) {
+  assert(is_committed(height));
+  entries_[height]->txn_count += txns;
+  committed_txns_ += txns;
+}
+
 const Ledger::Entry& Ledger::at(Height height) const {
   assert(is_committed(height));
   return *entries_[height];

@@ -57,6 +57,10 @@ class Ledger {
   CommitResult commit(const types::Block& block, std::uint32_t strength,
                       SimTime now);
 
+  /// Adds `txns` transactions to the committed entry at `height` (must be
+  /// committed): digest payloads whose batches arrived after the commit.
+  void credit_txns(Height height, std::uint64_t txns);
+
   [[nodiscard]] bool is_committed(Height height) const {
     return height < entries_.size() && entries_[height].has_value();
   }

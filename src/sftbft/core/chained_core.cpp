@@ -20,17 +20,16 @@ using types::VoteMode;
 
 ChainedCore::ChainedCore(CoreConfig config, sim::Scheduler& sched,
                          std::shared_ptr<const crypto::KeyRegistry> registry,
-                         mempool::Mempool& pool, Hooks hooks,
+                         dissem::DataPlane& plane, Hooks hooks,
                          storage::ReplicaStore* store)
     : config_(config),
       sched_(sched),
       registry_(std::move(registry)),
       cache_(config.observer, config.id),
       signer_(registry_->signer_for(config.id)),
-      pool_(pool),
+      plane_(plane),
       hooks_(std::move(hooks)),
-      lifecycle_(config.observer, config.id, config.f(),
-                 static_cast<bool>(hooks_.payload_available)),
+      lifecycle_(config.observer, config.id, config.f(), plane.gates_votes()),
       election_(config.n),
       tree_(),
       history_(tree_),
@@ -40,7 +39,7 @@ ChainedCore::ChainedCore(CoreConfig config, sim::Scheduler& sched,
           Pacemaker::Callbacks{
               .on_round_entered = [this](Round r) { on_round_entered(r); },
               .on_local_timeout = [this](Round r) { on_local_timeout(r); }}),
-      committer_(tree_, ledger_, pool, sched, store, lifecycle_,
+      committer_(tree_, ledger_, plane, sched, store, lifecycle_,
                  hooks_.on_commit, [this] { return snapshot_envelope(); }),
       sync_(SyncClient::Config{.id = config.id,
                                .n = config.n,
@@ -200,11 +199,8 @@ void ChainedCore::on_sync_response(const types::SyncResponse& resp) {
     }
     // Synced blocks are already certified — no vote gate, but their digest
     // payloads may reference batches that never reached this replica (it was
-    // down during dissemination). Kick the pull protocol so the ledger's
-    // transaction materialization completes.
-    if (hooks_.fetch_payload && block.payload.is_digests()) {
-      hooks_.fetch_payload(block.payload);
-    }
+    // down during dissemination).
+    committer_.synced(block);
     // Chain-embedded QCs are canonical: peers processed them through their
     // strength trackers when the blocks first arrived, so replaying them
     // here keeps endorser sets consistent across replicas (Sec. 5).
@@ -277,8 +273,7 @@ void ChainedCore::propose(Round round) {
   block.height = parent->height + 1;
   block.proposer = config_.id;
   block.qc = high_qc;
-  block.payload = hooks_.make_payload ? hooks_.make_payload(config_.max_batch)
-                                      : pool_.make_batch(config_.max_batch);
+  block.payload = plane_.make_payload(config_.max_batch);
   block.log_digest = types::commit_log_digest(commit_log);
   block.created_at = sched_.now();
   block.seal();
@@ -291,7 +286,7 @@ void ChainedCore::propose(Round round) {
 
   last_proposed_payload_ = {round, block.payload};
   sent_proposals_.push_back(proposal);
-  lifecycle_.proposed(block, sched_.now(), pool_.pending());
+  lifecycle_.proposed(block, sched_.now(), plane_.pending());
   hooks_.broadcast_proposal(proposal);
 }
 
@@ -379,14 +374,12 @@ void ChainedCore::on_proposal(const Proposal& proposal) {
     logged_proposals_.emplace(block.id, proposal);
   }
 
-  // Vote-availability gate (dissemination mode): never vote for a block
-  // whose referenced batches we do not hold — a strong-QC then proves 2f+1
-  // replicas can materialize the payload at commit time. The control plane
-  // above (tree insert, QC observation, round sync) proceeded normally;
-  // only this replica's vote waits for the data plane.
-  if (hooks_.payload_available && !hooks_.payload_available(block.payload)) {
+  // Vote-availability gate: the control plane above (tree insert, QC
+  // observation, round sync) proceeded normally; only this replica's vote
+  // waits for the data plane.
+  if (!plane_.available(block.payload)) {
     awaiting_batches_.emplace(block.id, block);
-    if (hooks_.fetch_payload) hooks_.fetch_payload(block.payload);
+    plane_.fetch(block.payload);
   } else {
     maybe_vote(block);
   }
@@ -394,14 +387,15 @@ void ChainedCore::on_proposal(const Proposal& proposal) {
   process_pending_proposals(block.id);
 }
 
-void ChainedCore::retry_awaiting_payloads() {
-  if (stopped_ || awaiting_batches_.empty()) return;
+void ChainedCore::on_payload_arrival() {
+  if (stopped_) return;
+  committer_.credit_late_batches();
+  if (awaiting_batches_.empty()) return;
   std::vector<types::Block> ready;
   for (auto it = awaiting_batches_.begin(); it != awaiting_batches_.end();) {
     if (it->second.round < pacemaker_.current_round()) {
       it = awaiting_batches_.erase(it);  // stale — no longer votable
-    } else if (!hooks_.payload_available ||
-               hooks_.payload_available(it->second.payload)) {
+    } else if (plane_.available(it->second.payload)) {
       ready.push_back(it->second);
       it = awaiting_batches_.erase(it);
     } else {
@@ -455,7 +449,7 @@ Vote ChainedCore::build_vote(const Block& block) {
       break;
     case CoreMode::SftIntervals:
       vote.mode = VoteMode::Intervals;
-      vote.endorsed = history_.intervals_for(block, config_.interval_window);
+      vote.endorsed = history_.intervals_for(block, /*window=*/0);  // [1, r]
       break;
   }
   vote.sig = signer_.sign(vote.signing_bytes());
@@ -627,11 +621,7 @@ void ChainedCore::on_local_timeout(Round round) {
   // vote in a round this replica already timed out of.
   persist_vote(nullptr, round);
   if (last_proposed_payload_ && last_proposed_payload_->first == round) {
-    if (hooks_.requeue_payload) {
-      hooks_.requeue_payload(last_proposed_payload_->second);
-    } else {
-      pool_.requeue(last_proposed_payload_->second);
-    }
+    plane_.requeue(last_proposed_payload_->second);
     last_proposed_payload_.reset();
   }
   TimeoutMsg msg;

@@ -28,6 +28,7 @@
 // The core is transport-agnostic: outbound traffic goes through Hooks, and
 // inbound messages are fed to on_proposal / on_vote / on_timeout_msg.
 // engine::ReplicaHost wires it to the network with the protocol's wire tags.
+// Payloads (inline or digest-referencing) come from dissem::DataPlane.
 // Lifecycle reporting (every per-block trace event, counter and latency
 // histogram, round entries included) lives in core::Lifecycle.
 #pragma once
@@ -51,7 +52,7 @@
 #include "sftbft/core/vote_history.hpp"
 #include "sftbft/crypto/signature.hpp"
 #include "sftbft/crypto/verify_cache.hpp"
-#include "sftbft/mempool/mempool.hpp"
+#include "sftbft/dissem/plane.hpp"
 #include "sftbft/sim/scheduler.hpp"
 #include "sftbft/storage/replica_store.hpp"
 #include "sftbft/types/proposal.hpp"
@@ -112,9 +113,6 @@ struct CoreConfig {
   /// Max transactions per block (paper: ~1000).
   std::size_t max_batch = 1000;
 
-  /// Interval-vote window (Sec. 3.4): 0 = full history [1, r].
-  Round interval_window = 0;
-
   /// Verify signatures on inbound messages. On by default; large-n sweeps
   /// may disable to trade fidelity for wall-clock (noted per experiment).
   bool verify_signatures = true;
@@ -167,28 +165,15 @@ class ChainedCore {
     /// auditing. May be empty.
     std::function<void(const types::Block&, const types::QuorumCert&)>
         on_canonical_qc;
-    /// --- dissemination (all four may be empty = inline payloads) ---
-    /// Leader-side payload source: return a digest-referencing Payload built
-    /// from the local BatchStore instead of pool_.make_batch.
-    std::function<types::Payload(std::size_t max_batch)> make_payload;
-    /// Round timed out before certification: return the payload's batches to
-    /// the proposable set (the inline path uses pool_.requeue instead).
-    std::function<void(const types::Payload&)> requeue_payload;
-    /// Vote-availability gate: do all batches a payload references exist
-    /// locally? (Implementations also mark them Proposed.) Blocks whose
-    /// payload is unavailable are parked, not voted — the SFT guarantee that
-    /// 2f+1 voters hold the data by commit time rests on this check.
-    std::function<bool(const types::Payload&)> payload_available;
-    /// Kick the pull protocol for a payload's missing batches.
-    std::function<void(const types::Payload&)> fetch_payload;
   };
 
   /// `store` (optional) enables durability: the safety envelope is WAL'd as
   /// it changes and the ledger snapshotted on the store's cadence, making
-  /// the core restorable via restore() after a crash.
+  /// the core restorable via restore() after a crash. Payloads come from,
+  /// are gated on and commit through `plane`, which must outlive the core.
   ChainedCore(CoreConfig config, sim::Scheduler& sched,
               std::shared_ptr<const crypto::KeyRegistry> registry,
-              mempool::Mempool& pool, Hooks hooks,
+              dissem::DataPlane& plane, Hooks hooks,
               storage::ReplicaStore* store = nullptr);
 
   /// Enters round 1 (the round-1 leader proposes off genesis).
@@ -209,19 +194,11 @@ class ChainedCore {
   /// root, retrying on the SyncClient's watchdog until caught up.
   void request_sync();
 
-  /// Dissemination mode: wires the committer to resolve digest payloads
-  /// against `batches` before ledger appends; `pull` fetches batches that
-  /// sync brought in certified but undisseminated.
-  void attach_batch_store(
-      dissem::BatchStore* batches,
-      std::function<void(const std::vector<crypto::Sha256Digest>&)> pull) {
-    committer_.set_batch_store(batches, std::move(pull));
-  }
-
-  /// Re-runs the vote path for proposals parked on missing batches (call
-  /// when new batches arrive). Entries that fell behind the current round
-  /// are dropped — their round can no longer be voted anyway.
-  void retry_awaiting_payloads();
+  /// New batches arrived: credits late ones to their committed ledger
+  /// entries, then re-runs the vote path for proposals parked on missing
+  /// batches. Parked entries that fell behind the current round are dropped
+  /// — their round can no longer be voted anyway.
+  void on_payload_arrival();
 
   [[nodiscard]] bool stopped() const { return stopped_; }
 
@@ -304,11 +281,11 @@ class ChainedCore {
   CoreConfig config_;
   sim::Scheduler& sched_;
   std::shared_ptr<const crypto::KeyRegistry> registry_;
-  /// Certificate memo + vote-check counters (mutable: used on const
-  /// validation paths and never changes semantics).
+  /// Signature-check counters (mutable: used on const validation paths and
+  /// never changes semantics).
   mutable crypto::VerifyCache cache_;
   crypto::Signer signer_;
-  mempool::Mempool& pool_;
+  dissem::DataPlane& plane_;
   Hooks hooks_;
   Lifecycle lifecycle_;
 
@@ -360,7 +337,7 @@ class ChainedCore {
 
   // Dissemination: blocks inserted in the tree but not voted because a
   // referenced batch had not arrived (vote-availability gate). Keyed by
-  // block id; retry_awaiting_payloads re-runs maybe_vote when batches land.
+  // block id; on_payload_arrival re-runs maybe_vote when batches land.
   std::unordered_map<types::BlockId, types::Block> awaiting_batches_;
 
   // Sec. 5: per-QC strength updates, embedded into the next own proposal.
@@ -373,7 +350,7 @@ class ChainedCore {
   std::unordered_map<types::BlockId, types::Proposal> logged_proposals_;
 
   // The payload of the block this replica last proposed but that never got
-  // certified (returned to the mempool on timeout).
+  // certified (requeued on the data plane on timeout).
   std::optional<std::pair<Round, types::Payload>> last_proposed_payload_;
 };
 

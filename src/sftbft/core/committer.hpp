@@ -1,9 +1,11 @@
 // The commit-chain walk (Sec. 2's "commit a block and all its ancestors",
 // strengthened by the Sec.-3 strong commit rules) and its side effects —
 // ledger append, mempool accounting, durable commit records, commit
-// notifications, snapshot cadence — in one place. Every consensus core
-// (chained or lock-step) used to carry a verbatim copy of this loop; they
-// now share this one.
+// notifications, snapshot cadence — in one place, shared by every consensus
+// core (chained or lock-step). Payloads reach the ledger through the
+// replica's dissem::DataPlane, which resolves digest references to their
+// transactions; batches that land only after their block committed (the
+// block-sync path) are credited to that block's ledger entry afterwards.
 #pragma once
 
 #include <functional>
@@ -13,8 +15,7 @@
 #include "sftbft/chain/ledger.hpp"
 #include "sftbft/common/types.hpp"
 #include "sftbft/core/lifecycle.hpp"
-#include "sftbft/dissem/batch_store.hpp"
-#include "sftbft/mempool/mempool.hpp"
+#include "sftbft/dissem/plane.hpp"
 #include "sftbft/sim/scheduler.hpp"
 #include "sftbft/storage/replica_store.hpp"
 
@@ -33,31 +34,17 @@ class Committer {
   /// due after a commit walk, `envelope` supplies the owning core's
   /// protocol-specific safety state for the snapshot.
   Committer(const chain::BlockTree& tree, chain::Ledger& ledger,
-            mempool::Mempool& pool, sim::Scheduler& sched,
+            dissem::DataPlane& plane, sim::Scheduler& sched,
             storage::ReplicaStore* store, const Lifecycle& lifecycle,
             OnCommit on_commit, std::function<storage::Envelope()> envelope)
       : tree_(&tree),
         ledger_(&ledger),
-        pool_(&pool),
+        plane_(&plane),
         sched_(&sched),
         store_(store),
         lifecycle_(&lifecycle),
         on_commit_(std::move(on_commit)),
         envelope_(std::move(envelope)) {}
-
-  /// Dissemination mode: digest-referencing payloads are resolved against
-  /// `batches` before the ledger append (so committed-transaction counts
-  /// and mempool accounting stay exact). `pull` (may be empty) is invoked
-  /// with any digests whose batches have not arrived yet — possible only on
-  /// the block-sync path, since the vote-availability gate guarantees 2f+1
-  /// voters held the data; the store files those batches as committed when
-  /// the pull completes.
-  void set_batch_store(
-      dissem::BatchStore* batches,
-      std::function<void(const std::vector<crypto::Sha256Digest>&)> pull) {
-    batch_store_ = batches;
-    pull_batches_ = std::move(pull);
-  }
 
   /// Commits `head` and all its ancestors at `strength` (strong commit
   /// rule: "x-strong commits a block B_k and all its ancestors"). Stops as
@@ -68,31 +55,46 @@ class Committer {
     for (const types::Block* block = &head;
          block != nullptr && block->height > 0;
          block = tree_->parent_of(block->id)) {
-      // Digest payloads materialize to their transactions exactly once (at
-      // first commit): the store dedups by digest, so a batch referenced by
-      // competing forks counts toward exactly one ledger entry.
-      const types::Block* target = block;
-      types::Block materialized;
-      if (batch_store_ && block->payload.is_digests() &&
-          !ledger_->is_committed(block->height)) {
-        std::vector<crypto::Sha256Digest> missing;
-        materialized = *block;
-        materialized.payload = types::Payload{};
-        materialized.payload.txns =
-            batch_store_->resolve_committed(block->payload, missing);
-        if (!missing.empty() && pull_batches_) pull_batches_(missing);
-        target = &materialized;
-      }
-      const auto result = ledger_->commit(*target, strength, sched_->now());
+      // A payload materializes to its transactions once, at first commit.
+      types::Block scratch;
+      const types::Block& target = ledger_->is_committed(block->height)
+                                       ? *block
+                                       : plane_->materialize(*block, scratch);
+      const auto result = ledger_->commit(target, strength, sched_->now());
       if (result == chain::Ledger::CommitResult::NoChange) break;
       if (result == chain::Ledger::CommitResult::New) {
-        pool_->mark_committed(target->payload);
+        plane_->committed(target.payload);
       }
       if (store_) store_->record_commit(ledger_->at(block->height));
       lifecycle_->committed(*block, strength, sched_->now());
       if (on_commit_) on_commit_(*block, strength, sched_->now());
     }
     maybe_snapshot();
+  }
+
+  /// A block learned through block sync. A crash-restarted replica can
+  /// already hold its commit (restored from the WAL above the snapshot
+  /// tip): its batches are then filed as committed, so they are never
+  /// proposed or counted again. Otherwise the batches it lacks are pulled
+  /// for the commit to come.
+  void synced(const types::Block& block) {
+    if (ledger_->is_committed(block.height) &&
+        ledger_->at(block.height).block_id == block.id) {
+      plane_->recommitted(block.payload);
+    } else {
+      plane_->fetch(block.payload);
+    }
+  }
+
+  /// Credits batches that landed after their block committed to that
+  /// block's ledger entry, durably: a restart must not bring back the
+  /// short count. Call when batches arrive.
+  void credit_late_batches() {
+    for (const dissem::DataPlane::LateCommit& late :
+         plane_->take_late_commits()) {
+      ledger_->credit_txns(late.height, late.txns);
+      if (store_) store_->record_commit(ledger_->at(late.height));
+    }
   }
 
  private:
@@ -107,14 +109,12 @@ class Committer {
 
   const chain::BlockTree* tree_;
   chain::Ledger* ledger_;
-  mempool::Mempool* pool_;
+  dissem::DataPlane* plane_;
   sim::Scheduler* sched_;
   storage::ReplicaStore* store_;
   const Lifecycle* lifecycle_;
   OnCommit on_commit_;
   std::function<storage::Envelope()> envelope_;
-  dissem::BatchStore* batch_store_ = nullptr;
-  std::function<void(const std::vector<crypto::Sha256Digest>&)> pull_batches_;
 };
 
 }  // namespace sftbft::core

@@ -4,7 +4,9 @@
 // the mempool-depth counter track), received, payload ready, voted, the
 // f+1 / 2f+1 vote-arrival clock, certified, committed — in the obs::event
 // vocabulary obs::CriticalPathAnalyzer reads back. The consensus cores and
-// the committer report through it and emit nothing themselves.
+// the committer report through it and emit nothing themselves. Whether
+// votes are gated on payload availability comes from the replica's
+// dissem::DataPlane; the reporter never looks at a payload's mode.
 //
 // Each entry point is an inline null test; the out-of-line emission runs
 // only when an Observer is attached (one pointer test per site otherwise).
@@ -29,8 +31,9 @@ class Lifecycle {
  public:
   /// `obs` may be null (off) and must outlive the reporter. `f` sizes the
   /// vote clock and splits regular from strong commits. `payload_gated`:
-  /// votes wait on the dissemination availability gate (digest mode), so
-  /// each vote first reports the gate pass as payload_ready.
+  /// votes wait on the data plane's availability gate
+  /// (dissem::DataPlane::gates_votes(), digest payloads), so each vote
+  /// first reports the gate pass as payload_ready.
   Lifecycle(obs::Observer* obs, ReplicaId id, std::uint32_t f,
             bool payload_gated)
       : obs_(obs), id_(id), f_(f), payload_gated_(payload_gated) {}

@@ -54,10 +54,11 @@ struct DissemConfig {
 
   // ---------------------------------------------------------- observability
   /// Metrics + trace events (batch lifecycle, admission outcomes); null =
-  /// off. Stamped per replica by the Deployment; outlives the data plane.
+  /// off. Stamped by the Deployment; outlives the data plane.
   obs::Observer* observer = nullptr;
   /// The owning replica (trace/metric attribution for components that are
-  /// not otherwise id-aware, e.g. the AdmissionFrontend).
+  /// not otherwise id-aware, e.g. the AdmissionFrontend); stamped by the
+  /// DataPlane.
   ReplicaId self = 0;
 };
 

@@ -95,14 +95,8 @@ Deployment::Deployment(DeploymentConfig config, CommitObserver observer,
     transport_->set_corruption(id, config_.faults[id].corrupt);
   }
 
-  // Per-replica dissem copy: observability attribution (the frontend and
-  // data plane are not otherwise id-aware).
-  auto dissem_for = [this](ReplicaId id) {
-    dissem::DissemConfig dcfg = config_.dissem;
-    dcfg.observer = observer_.get();
-    dcfg.self = id;
-    return dcfg;
-  };
+  dissem::DissemConfig dissem = config_.dissem;
+  dissem.observer = observer_.get();
 
   // One host type per protocol family; everything but the core config is
   // shared, Byzantine replicas included.
@@ -119,7 +113,7 @@ Deployment::Deployment(DeploymentConfig config, CommitObserver observer,
       engines_.push_back(std::make_unique<Host>(
           config_.protocol, core, *transport_, registry_, config_.workload,
           workload_rng.fork(), fault, observer, make_store(id, fault), taps,
-          dissem_for(id), coalition_));
+          dissem, coalition_));
     };
     if (is_chained(config_.protocol)) {
       consensus::CoreConfig core = config_.chained;

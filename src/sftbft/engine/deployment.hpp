@@ -53,9 +53,8 @@ struct DeploymentConfig {
   net::Topology topology = net::Topology::uniform(4, millis(1));
   net::NetConfig net;
   mempool::WorkloadConfig workload;
-  /// Batch dissemination data plane (dissem.enabled switches every replica
-  /// to digest-referencing proposals + the admission front-end). Applies to
-  /// all three protocols.
+  /// Every replica's dissem::DataPlane configuration (inline or
+  /// digest-referencing payloads). Applies to all three protocols.
   dissem::DissemConfig dissem;
   /// Per-replica faults; empty = all honest. Indexed by replica id.
   std::vector<FaultSpec> faults;

@@ -32,25 +32,19 @@ ReplicaHost<Core>::ReplicaHost(
       wires_(chained_wires_for(protocol)),
       transport_(transport),
       fault_(std::move(fault)),
-      dissem_(dissem),
       store_(store),
       observer_(std::move(observer)),
-      workload_(transport.scheduler(), pool_, workload, workload_rng) {
-  workload_.set_id_space(id_);
+      plane_(id_, transport, workload, workload_rng, dissem,
+             dissem::DataPlane::Options{
+                 .timed_arrivals = runs_timed_arrivals(fault_),
+                 .silent = fault_.kind == FaultSpec::Kind::Silent,
+                 .withhold_push = fault_.kind == FaultSpec::Kind::Byzantine &&
+                                  fault_.byz.has(Strategy::BatchWithholder)},
+             [this] { core_->on_payload_arrival(); }) {
   if (fault_.kind == FaultSpec::Kind::Byzantine) {
     byz_ = std::make_unique<adversary::ByzantinePlugin>(
         id_, transport_, fault_, std::move(coalition),
         registry->signer_for(id_));
-  }
-
-  if (dissem_.enabled) {
-    batches_ = std::make_unique<dissem::BatchStore>();
-    make_broadcaster();
-    frontend_ = std::make_unique<dissem::AdmissionFrontend>(pool_, dissem_);
-    swarm_ = std::make_unique<dissem::ClientSwarm>(
-        transport.scheduler(), *frontend_, workload, dissem_,
-        workload_rng.fork());
-    swarm_->set_id_space(id_);
   }
 
   typename Core::Hooks hooks = wire_hooks(taps);
@@ -60,60 +54,9 @@ ReplicaHost<Core>::ReplicaHost(
       if (observer_) observer_(id_, block, strength, now);
     };
   }
-  if (dissem_.enabled) {
-    // Control plane <-> data plane seams. Leaders draw digest payloads from
-    // the batch store; voters gate on availability and pull what's missing.
-    hooks.make_payload = [this](std::size_t /*max_batch*/) {
-      return batches_->make_payload(dissem_.max_batches_per_proposal,
-                                    transport_.scheduler().now(),
-                                    dissem_.repropose_after);
-    };
-    hooks.payload_available = [this](const types::Payload& payload) {
-      if (!payload.is_digests()) return true;
-      // Present batches go Proposed either way — another leader claimed
-      // them; re-proposing them here would only waste block space.
-      batches_->observe_reference(payload, transport_.scheduler().now());
-      return batches_->missing(payload).empty();
-    };
-    hooks.fetch_payload = [this](const types::Payload& payload) {
-      if (!payload.is_digests()) return;
-      const auto missing = batches_->missing(payload);
-      if (!missing.empty()) broadcaster_->want(missing);
-    };
-    // Chained cores hand back a timed-out round's payload; lock-step
-    // Streamlet has no such hook (its batches revert through the store's
-    // repropose window).
-    if constexpr (requires { hooks.requeue_payload; }) {
-      hooks.requeue_payload = [this](const types::Payload& payload) {
-        if (payload.is_digests()) {
-          batches_->requeue(payload);
-        } else {
-          pool_.requeue(payload);
-        }
-      };
-    }
-  }
-
   core_ = std::make_unique<Core>(std::move(config), transport.scheduler(),
-                                 std::move(registry), pool_,
+                                 std::move(registry), plane_,
                                  std::move(hooks), store);
-  if (dissem_.enabled) {
-    core_->attach_batch_store(
-        batches_.get(), [this](const std::vector<crypto::Sha256Digest>& m) {
-          broadcaster_->want(m);
-        });
-  }
-}
-
-template <class Core>
-void ReplicaHost<Core>::make_broadcaster() {
-  broadcaster_ = std::make_unique<dissem::BatchBroadcaster>(
-      id_, transport_, pool_, *batches_, dissem_,
-      [this] { core_->retry_awaiting_payloads(); },
-      dissem::BatchBroadcaster::Options{
-          .silent = fault_.kind == FaultSpec::Kind::Silent,
-          .withhold_push = fault_.kind == FaultSpec::Kind::Byzantine &&
-                           fault_.byz.has(Strategy::BatchWithholder)});
 }
 
 template <class Core>
@@ -129,28 +72,6 @@ void ReplicaHost<Core>::register_handler() {
       transport_.stats().record_decode_drop();
     }
   });
-}
-
-template <class Core>
-void ReplicaHost<Core>::demux_batches(const Envelope& env) {
-  if (broadcaster_) {
-    switch (env.type) {
-      case WireType::kBatchPush:
-        broadcaster_->on_push(env.unpack<dissem::BatchPush>());
-        return;
-      case WireType::kBatchRequest:
-        broadcaster_->on_request(env.unpack<dissem::BatchRequest>());
-        return;
-      case WireType::kBatchResponse:
-        broadcaster_->on_response(env.unpack<dissem::BatchResponse>());
-        return;
-      default:
-        break;
-    }
-  }
-  // Another stack's tag (or the data plane's while it is off) is a payload
-  // this replica cannot parse — same treatment as a garbled payload.
-  throw CodecError("ReplicaHost: wire type not in this replica's stack");
 }
 
 template <class Core>
@@ -174,26 +95,21 @@ void ReplicaHost<Core>::multicast(Envelope env, bool include_self,
 }
 
 template <class Core>
-bool ReplicaHost<Core>::runs_timed_arrivals() const {
+bool ReplicaHost<Core>::runs_timed_arrivals(const FaultSpec& fault) {
   // Honest Streamlet replicas have never started the inline
   // WorkloadGenerator's timed arrivals: their pools are only topped up at
   // start, and every Streamlet baseline measures that. Starting them is a
   // behaviour change (on streamlet-faults it roughly triples committed
   // throughput but grows peak RSS by a third), so it is left to a change of
   // its own.
-  return !std::is_same_v<Core, streamlet::StreamletCore> || byz_ != nullptr;
+  return !std::is_same_v<Core, streamlet::StreamletCore> ||
+         fault.kind == FaultSpec::Kind::Byzantine;
 }
 
 template <class Core>
 void ReplicaHost<Core>::start() {
   register_handler();
-  if (dissem_.enabled) {
-    swarm_->start();
-    broadcaster_->start();
-  } else {
-    workload_.top_up();
-    if (runs_timed_arrivals()) workload_.start();
-  }
+  plane_.start();
   if (fault_.kind == FaultSpec::Kind::Crash) {
     transport_.scheduler().schedule_at(fault_.crash_at, [this] { stop(); });
   }
@@ -222,10 +138,7 @@ void ReplicaHost<Core>::arm_crash_restart() {
 template <class Core>
 void ReplicaHost<Core>::stop() {
   core_->stop();
-  if (dissem_.enabled) {
-    broadcaster_->stop();
-    swarm_->stop();
-  }
+  plane_.stop();
   transport_.disconnect(id_);
 }
 
@@ -239,20 +152,9 @@ void ReplicaHost<Core>::restart() {
                            std::to_string(id_) + " has no ReplicaStore");
   }
   register_handler();
-  // A fresh mempool: in-flight bookkeeping died with the process.
-  pool_ = mempool::Mempool();
-  if (dissem_.enabled) {
-    // The volatile data plane died too: reset the store in place (the
-    // committer aims a raw pointer at it) and rebuild the broadcaster's
-    // pull state. Certified-but-missing batches re-arrive via sync's pull.
-    pool_.set_capacity(dissem_.mempool_capacity);
-    *batches_ = dissem::BatchStore();
-    make_broadcaster();
-    swarm_->start();
-    broadcaster_->start();
-  } else {
-    workload_.top_up();
-  }
+  // The volatile data plane died with the process; certified-but-missing
+  // batches re-arrive via sync's pull.
+  plane_.restart();
   core_->restore(store_->recover());
   core_->request_sync();
 }
@@ -323,7 +225,7 @@ void ReplicaHost<core::ChainedCore>::demux(const Envelope& env) {
   } else if (env.type == wires_.sync_response) {
     core_->on_sync_response(env.unpack<types::SyncResponse>());
   } else {
-    demux_batches(env);
+    plane_.demux(env);
   }
 }
 
@@ -394,7 +296,7 @@ void ReplicaHost<streamlet::StreamletCore>::demux(const Envelope& env) {
       core_->on_sync_response(env.unpack<streamlet::SSyncResponse>());
       break;
     default:
-      demux_batches(env);
+      plane_.demux(env);
   }
 }
 

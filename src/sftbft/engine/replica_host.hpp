@@ -4,19 +4,19 @@
 // config, their Envelope tags are picked by protocol); Streamlet hosts a
 // streamlet::StreamletCore.
 //
-// The host owns everything around the core once: the mempool, the inline
-// WorkloadGenerator, the dissemination data plane (BatchStore,
-// BatchBroadcaster, AdmissionFrontend, ClientSwarm), the transport handler
-// and its inbound counters, start/stop/restart with the Crash and
+// The host owns everything around the core once: the replica's
+// dissem::DataPlane (mempool plus either the inline workload or the batch
+// dissemination quartet — the only place that choice is made), the transport
+// handler and its inbound counters, start/stop/restart with the Crash and
 // CrashRestart timers, the durable store and the commit observer. Only two
 // pieces are written per core (replica_host.cpp): the inbound tag -> handler
-// demux and the outbound hook wiring.
+// demux (batch frames go to the plane) and the outbound hook wiring.
 //
 // Faults are read from the FaultSpec alone:
-//  * Silent — every send is dropped; the broadcaster is built silent;
+//  * Silent — every send is dropped; the data plane sends nothing either;
 //  * Byzantine — an adversary::ByzantinePlugin takes the send path
 //    (per-peer, strategy-filtered) and crafts twin proposals and forged
-//    votes; the broadcaster withholds pushes under BatchWithholder. The
+//    votes; the data plane withholds pushes under BatchWithholder. The
 //    replica never fires the commit observer (its ledger claims are
 //    adversarial; the honest-commit stream is what the auditor audits) and
 //    has no store, so restart() refuses it;
@@ -32,11 +32,9 @@
 #include "sftbft/adversary/byzantine.hpp"
 #include "sftbft/core/audit.hpp"
 #include "sftbft/core/chained_core.hpp"
-#include "sftbft/dissem/admission.hpp"
-#include "sftbft/dissem/broadcaster.hpp"
 #include "sftbft/dissem/config.hpp"
+#include "sftbft/dissem/plane.hpp"
 #include "sftbft/engine/engine.hpp"
-#include "sftbft/mempool/mempool.hpp"
 #include "sftbft/net/transport.hpp"
 #include "sftbft/storage/replica_store.hpp"
 #include "sftbft/streamlet/streamlet.hpp"
@@ -53,11 +51,8 @@ class ReplicaHost final : public ConsensusEngine {
   /// `store` (optional) enables durable state — required for CrashRestart
   /// faults and restart(). `taps` (optional) feed a harness-level
   /// SafetyAuditor. `coalition` is required when `fault` is Byzantine and
-  /// ignored otherwise. `dissem.enabled` switches the replica to the batch
-  /// data plane: the AdmissionFrontend + ClientSwarm replace the
-  /// WorkloadGenerator, the BatchBroadcaster pushes content-addressed
-  /// batches off the critical path, and the core proposes, votes and
-  /// commits digest-referencing payloads.
+  /// ignored otherwise. `workload`, `workload_rng` and `dissem` configure
+  /// the dissem::DataPlane.
   ReplicaHost(Protocol protocol, Config config, net::Transport& transport,
               std::shared_ptr<const crypto::KeyRegistry> registry,
               mempool::WorkloadConfig workload, Rng workload_rng,
@@ -66,7 +61,8 @@ class ReplicaHost final : public ConsensusEngine {
               dissem::DissemConfig dissem,
               std::shared_ptr<adversary::Coalition> coalition);
 
-  // Core hooks, the transport handler and scheduled timers capture `this`.
+  // Core hooks, the plane's arrival callback, the transport handler and
+  // scheduled timers capture `this`.
   ReplicaHost(const ReplicaHost&) = delete;
   ReplicaHost& operator=(const ReplicaHost&) = delete;
 
@@ -97,20 +93,19 @@ class ReplicaHost final : public ConsensusEngine {
   // --- per core (replica_host.cpp) ---
   /// Outbound hooks plus the audit taps this core fires.
   [[nodiscard]] typename Core::Hooks wire_hooks(const core::AuditTaps& taps);
-  /// Inbound tag -> core handler; other tags go to demux_batches.
+  /// Inbound tag -> core handler; other tags go to the data plane.
   void demux(const net::Envelope& env);
 
   // --- shared ---
-  void demux_batches(const net::Envelope& env);
   void register_handler();
-  void make_broadcaster();
   void arm_crash_restart();
   /// Honest sends share one encoded frame per broadcast; Byzantine sends
   /// go through the plug-in's funnel; Silent sends are dropped.
   void unicast(ReplicaId to, net::Envelope env, bool withholdable);
   void multicast(net::Envelope env, bool include_self, bool withholdable,
                  const char* label = nullptr);
-  [[nodiscard]] bool runs_timed_arrivals() const;
+  /// Whether the inline workload's timed arrivals run (see the .cpp).
+  [[nodiscard]] static bool runs_timed_arrivals(const FaultSpec& fault);
 
   Protocol protocol_;
   ReplicaId id_;
@@ -119,19 +114,12 @@ class ReplicaHost final : public ConsensusEngine {
   net::ChainedWireSet wires_;
   net::Transport& transport_;
   FaultSpec fault_;
-  dissem::DissemConfig dissem_;
   storage::ReplicaStore* store_;
   CommitObserver observer_;
   std::uint64_t inbound_messages_ = 0;
   std::uint64_t inbound_bytes_ = 0;
-  mempool::Mempool pool_;
-  mempool::WorkloadGenerator workload_;
-  // Data plane (dissem_.enabled only). The core holds a raw pointer into
-  // *batches_, so the store object is reset by assignment, never re-seated.
-  std::unique_ptr<dissem::BatchStore> batches_;
-  std::unique_ptr<dissem::BatchBroadcaster> broadcaster_;
-  std::unique_ptr<dissem::AdmissionFrontend> frontend_;
-  std::unique_ptr<dissem::ClientSwarm> swarm_;
+  /// The core holds a reference: declared before it.
+  dissem::DataPlane plane_;
   /// Null unless the fault is Byzantine.
   std::unique_ptr<adversary::ByzantinePlugin> byz_;
   std::unique_ptr<Core> core_;

@@ -79,9 +79,11 @@ RunManifest Scenario::manifest() const {
   digest.mix(txn_size_bytes);
   digest.mix(mean_interarrival);
   digest.mix(verify_signatures ? 1 : 0);
-  digest.mix(interval_window);
-  // The retired, always-on commit-log switch (CoreConfig::commit_log()):
-  // mixing its value keeps stored digests (bench/baselines) valid.
+  // Retired knobs, mixed at their only ever value so stored digests
+  // (bench/baselines) stay valid: the interval-vote window (always the
+  // full history) and the always-on commit-log switch
+  // (CoreConfig::commit_log()).
+  digest.mix(0);
   digest.mix(1);
   digest.mix(dissemination ? 1 : 0);
   digest.mix(duration);
@@ -279,7 +281,6 @@ engine::DeploymentConfig Scenario::to_deployment_config() const {
     deployment.chained.extra_wait = [wait](Round) { return wait; };
   }
   deployment.chained.max_batch = max_batch;
-  deployment.chained.interval_window = interval_window;
   deployment.chained.verify_signatures = verify_signatures;
 
   deployment.streamlet.delta_bound = streamlet_delta_bound;

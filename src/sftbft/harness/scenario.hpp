@@ -130,7 +130,6 @@ struct Scenario {
   /// transactions" assumption held for the full window).
   SimDuration mean_interarrival = 0;
   bool verify_signatures = true;
-  Round interval_window = 0;
 
   /// Batch dissemination data plane (sftbft::dissem): digest-referencing
   /// proposals, continuous batch push off the critical path, admission

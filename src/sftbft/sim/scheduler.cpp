@@ -1,16 +1,25 @@
 #include "sftbft/sim/scheduler.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 namespace sftbft::sim {
 
 TimerId Scheduler::schedule_at(SimTime t, Callback cb) {
   assert(t >= now_ && "cannot schedule into the past");
-  const TimerId id = next_seq_++;
-  heap_.push(Event{.time = t < now_ ? now_ : t, .seq = id, .id = id});
-  callbacks_.emplace(id, std::move(cb));
-  return id;
+  if (free_ == slots_.size()) slots_.push_back(Slot{.id = free_ + 1});
+  const std::size_t slot = free_;
+  assert(slot <= kSlotMask);
+  Slot& s = slots_[slot];
+  free_ = s.id;
+  s.id = (next_seq_++ << kSlotBits) | slot;
+  s.cb = std::move(cb);
+  ++live_;
+  heap_.push_back(Event{.time = t < now_ ? now_ : t, .id = s.id});
+  std::push_heap(heap_.begin(), heap_.end(), EventAfter{});
+  return s.id;
 }
 
 TimerId Scheduler::schedule_after(SimDuration delay, Callback cb) {
@@ -18,42 +27,42 @@ TimerId Scheduler::schedule_after(SimDuration delay, Callback cb) {
   return schedule_at(now_ + delay, std::move(cb));
 }
 
+void Scheduler::release(std::size_t slot) {
+  slots_[slot].id = free_;
+  free_ = slot;
+  --live_;
+}
+
 void Scheduler::cancel(TimerId id) {
-  if (id == kInvalidTimer) return;
-  if (callbacks_.erase(id) > 0) {
-    cancelled_.insert(id);
-  }
+  const std::size_t slot = id & kSlotMask;
+  if (slot >= slots_.size() || slots_[slot].id != id) return;
+  slots_[slot].cb = nullptr;
+  release(slot);
 }
 
-void Scheduler::dispatch(const Event& ev) {
-  now_ = ev.time;
-  auto it = callbacks_.find(ev.id);
-  assert(it != callbacks_.end());
-  Callback cb = std::move(it->second);
-  callbacks_.erase(it);
-  ++processed_;
-  cb();
-}
-
-bool Scheduler::run_one() {
-  while (!heap_.empty()) {
-    const Event ev = heap_.top();
-    heap_.pop();
-    if (cancelled_.erase(ev.id) > 0) continue;  // skip cancelled
-    dispatch(ev);
+bool Scheduler::step(SimTime deadline) {
+  while (!heap_.empty() && heap_.front().time <= deadline) {
+    const Event ev = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), EventAfter{});
+    heap_.pop_back();
+    const std::size_t slot = ev.id & kSlotMask;
+    if (slots_[slot].id != ev.id) continue;  // cancelled
+    Callback cb = std::move(slots_[slot].cb);
+    release(slot);
+    now_ = ev.time;
+    ++processed_;
+    cb();
     return true;
   }
   return false;
 }
 
+bool Scheduler::run_one() {
+  return step(std::numeric_limits<SimTime>::max());
+}
+
 void Scheduler::run_until(SimTime deadline) {
-  stop_requested_ = false;
-  while (!heap_.empty() && !stop_requested_) {
-    const Event ev = heap_.top();
-    if (ev.time > deadline) break;
-    heap_.pop();
-    if (cancelled_.erase(ev.id) > 0) continue;
-    dispatch(ev);
+  while (step(deadline)) {
   }
   if (now_ < deadline) now_ = deadline;
 }
@@ -61,9 +70,8 @@ void Scheduler::run_until(SimTime deadline) {
 void Scheduler::run_for(SimDuration duration) { run_until(now_ + duration); }
 
 void Scheduler::run_until_idle(std::uint64_t max_events) {
-  stop_requested_ = false;
   std::uint64_t count = 0;
-  while (count < max_events && !stop_requested_ && run_one()) ++count;
+  while (count < max_events && run_one()) ++count;
 }
 
 }  // namespace sftbft::sim

@@ -10,9 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sftbft/common/types.hpp"
@@ -54,41 +51,53 @@ class Scheduler {
   /// Runs until no events remain or `max_events` were processed.
   void run_until_idle(std::uint64_t max_events = UINT64_MAX);
 
-  /// Requests that the current run_* call return after the active event.
-  void request_stop() { stop_requested_ = true; }
-
   /// Number of events executed since construction (a cheap progress proxy).
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
-  /// Number of events currently queued (cancelled ones may still be counted
-  /// until they would fire).
-  [[nodiscard]] std::size_t pending() const {
-    return heap_.size() - cancelled_.size();
-  }
+  /// Number of events scheduled and neither fired nor cancelled.
+  [[nodiscard]] std::size_t pending() const { return live_; }
 
  private:
+  /// A queued event. Its id is `seq << kSlotBits | slot`: ids order like
+  /// their sequence numbers, and `slot` holds the callback.
   struct Event {
     SimTime time = 0;
-    std::uint64_t seq = 0;  // tie-break: FIFO among equal times
-    TimerId id = kInvalidTimer;
+    TimerId id = kInvalidTimer;  // tie-break: FIFO among equal times
   };
   struct EventAfter {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+      return a.id > b.id;
     }
   };
+  /// A callback slot: `id` is the id of the event holding it, or, while the
+  /// slot is free, the index of the next free slot (no sequence bits, so it
+  /// matches no event).
+  struct Slot {
+    Callback cb;
+    TimerId id = kInvalidTimer;
+  };
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr TimerId kSlotMask = (TimerId{1} << kSlotBits) - 1;
 
-  /// Pops and runs the top non-cancelled event; advances the clock.
-  void dispatch(const Event& ev);
+  /// Runs the earliest live event if it is due by `deadline`, discarding
+  /// cancelled ones on the way; advances the clock. Returns false when no
+  /// live event is due.
+  bool step(SimTime deadline);
+
+  /// Frees a live slot (its callback already moved out or reset).
+  void release(std::size_t slot);
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
-  bool stop_requested_ = false;
-  std::priority_queue<Event, std::vector<Event>, EventAfter> heap_;
-  std::unordered_map<TimerId, Callback> callbacks_;
-  std::unordered_set<TimerId> cancelled_;
+  std::size_t live_ = 0;
+  /// Binary min-heap on (time, id). A cancelled event stays in it as a
+  /// tombstone: its slot no longer carries its id.
+  std::vector<Event> heap_;
+  std::vector<Slot> slots_;
+  /// First free slot; the chain ends at slots_.size().
+  std::size_t free_ = 0;
 };
 
 }  // namespace sftbft::sim

@@ -61,7 +61,11 @@ void merge_high_tc(RecoveredState& state, const types::TimeoutCert& tc) {
 void merge_commit(RecoveredState& state, const chain::Ledger::Entry& entry) {
   for (chain::Ledger::Entry& existing : state.ledger) {
     if (existing.height != entry.height) continue;
+    // Strength ratchets; the transaction count only grows (batches credited
+    // after the commit, see chain::Ledger::credit_txns).
+    const std::uint64_t txns = std::max(existing.txn_count, entry.txn_count);
     if (entry.strength > existing.strength) existing = entry;
+    existing.txn_count = txns;
     return;
   }
   state.ledger.push_back(entry);

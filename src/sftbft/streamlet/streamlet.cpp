@@ -155,18 +155,17 @@ SSyncResponse SSyncResponse::decode(Decoder& dec) {
 StreamletCore::StreamletCore(
     StreamletConfig config, sim::Scheduler& sched,
     std::shared_ptr<const crypto::KeyRegistry> registry,
-    mempool::Mempool& pool, Hooks hooks, storage::ReplicaStore* store)
+    dissem::DataPlane& plane, Hooks hooks, storage::ReplicaStore* store)
     : config_(config),
       sched_(sched),
       registry_(std::move(registry)),
       signer_(registry_->signer_for(config.id)),
-      pool_(pool),
+      plane_(plane),
       hooks_(std::move(hooks)),
-      lifecycle_(config.observer, config.id, config.f(),
-                 static_cast<bool>(hooks_.payload_available)),
+      lifecycle_(config.observer, config.id, config.f(), plane.gates_votes()),
       store_(store),
       history_(tree_),
-      committer_(tree_, ledger_, pool, sched, store, lifecycle_,
+      committer_(tree_, ledger_, plane, sched, store, lifecycle_,
                  hooks_.on_commit, [this] { return snapshot_envelope(); }),
       sync_(core::SyncClient::Config{.id = config.id,
                                      .n = config.n,
@@ -318,10 +317,8 @@ void StreamletCore::on_sync_response(const SSyncResponse& resp) {
     if (tree_.insert(block) == chain::BlockTree::InsertResult::Inserted) {
       if (hooks_.on_block_seen) hooks_.on_block_seen(block);
       // Synced digest payloads may reference batches this replica missed
-      // while down — pull them so commit-time materialization completes.
-      if (hooks_.fetch_payload && block.payload.is_digests()) {
-        hooks_.fetch_payload(block.payload);
-      }
+      // while down.
+      committer_.synced(block);
     }
   }
   for (const SCert& cert : resp.certs) {
@@ -377,8 +374,10 @@ void StreamletCore::on_sync_response(const SSyncResponse& resp) {
   awaiting_sync_ = false;
 }
 
-void StreamletCore::retry_awaiting_payloads() {
-  if (stopped_ || !awaiting_batches_) return;
+void StreamletCore::on_payload_arrival() {
+  if (stopped_) return;
+  committer_.credit_late_batches();
+  if (!awaiting_batches_) return;
   const Block block = *awaiting_batches_;
   awaiting_batches_.reset();
   // maybe_vote re-checks round/voted state (and may re-defer if still
@@ -405,15 +404,14 @@ void StreamletCore::propose() {
   block.qc.block_id = parent.id;
   block.qc.round = parent.round;
   block.qc.parent_id = parent.parent_id;
-  block.payload = hooks_.make_payload ? hooks_.make_payload(config_.max_batch)
-                                      : pool_.make_batch(config_.max_batch);
+  block.payload = plane_.make_payload(config_.max_batch);
   block.created_at = sched_.now();
   block.seal();
 
   SProposal proposal;
   proposal.block = block;
   proposal.sig = signer_.sign(proposal.signing_bytes());
-  lifecycle_.proposed(block, sched_.now(), pool_.pending());
+  lifecycle_.proposed(block, sched_.now(), plane_.pending());
   hooks_.broadcast_proposal(proposal);
 }
 
@@ -470,13 +468,13 @@ void StreamletCore::maybe_vote(const Block& block) {
   if (!certified_.contains(parent->id) || parent->height != longest_height_) {
     return;
   }
-  // Vote-availability gate (dissemination mode): the vote waits for the
-  // data plane to deliver every referenced batch. Deferred, not dropped —
-  // retry_awaiting_payloads re-runs this when batches land, and the round
-  // tick lapses a deferral that missed its window.
-  if (hooks_.payload_available && !hooks_.payload_available(block.payload)) {
+  // Vote-availability gate: the vote waits for the data plane to deliver
+  // every referenced batch. Deferred, not dropped — on_payload_arrival
+  // re-runs this when batches land, and the round tick lapses a deferral
+  // that missed its window.
+  if (!plane_.available(block.payload)) {
     awaiting_batches_ = block;
-    if (hooks_.fetch_payload) hooks_.fetch_payload(block.payload);
+    plane_.fetch(block.payload);
     return;
   }
   voted_this_round_ = true;

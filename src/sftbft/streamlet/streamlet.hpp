@@ -48,7 +48,7 @@
 #include "sftbft/crypto/aggregate.hpp"
 #include "sftbft/crypto/signature.hpp"
 #include "sftbft/crypto/verify_cache.hpp"
-#include "sftbft/mempool/mempool.hpp"
+#include "sftbft/dissem/plane.hpp"
 #include "sftbft/net/envelope.hpp"
 #include "sftbft/sim/scheduler.hpp"
 #include "sftbft/storage/replica_store.hpp"
@@ -209,22 +209,16 @@ class StreamletCore {
     /// least as informed as the replica it audits. May be empty.
     std::function<void(const types::Block&)> on_block_seen;
     std::function<void(const SVote&)> on_vote_seen;
-    /// --- dissemination (all may be empty = inline payloads) ---
-    /// Leader-side payload source (digest-referencing proposals from the
-    /// local BatchStore); no requeue twin: Streamlet is lock-step, an
-    /// uncertified round's batches revert via the store's repropose window.
-    std::function<types::Payload(std::size_t max_batch)> make_payload;
-    /// Vote-availability gate: all referenced batches held locally?
-    std::function<bool(const types::Payload&)> payload_available;
-    /// Kick the pull protocol for a payload's missing batches.
-    std::function<void(const types::Payload&)> fetch_payload;
   };
 
   /// `store` (optional) enables durability (WAL'd votes + ledger snapshots)
-  /// and thereby restore() after a crash.
+  /// and thereby restore() after a crash. Payloads come from, are gated on
+  /// and commit through `plane`, which must outlive the core. Streamlet
+  /// never requeues a payload: it is lock-step, and an uncertified round's
+  /// batches revert through the store's repropose window.
   StreamletCore(StreamletConfig config, sim::Scheduler& sched,
                 std::shared_ptr<const crypto::KeyRegistry> registry,
-                mempool::Mempool& pool, Hooks hooks,
+                dissem::DataPlane& plane, Hooks hooks,
                 storage::ReplicaStore* store = nullptr);
 
   /// Starts the lock-step round ticks (round r spans [2Δ(r-1), 2Δr)).
@@ -247,19 +241,11 @@ class StreamletCore {
   /// clock.
   void request_sync();
 
-  /// Dissemination mode: the committer resolves digest payloads against
-  /// `batches` before ledger appends; `pull` fetches batches that sync
-  /// delivered certified but undisseminated.
-  void attach_batch_store(
-      dissem::BatchStore* batches,
-      std::function<void(const std::vector<crypto::Sha256Digest>&)> pull) {
-    committer_.set_batch_store(batches, std::move(pull));
-  }
-
-  /// Re-runs the vote path for a proposal deferred on missing batches (call
-  /// when new batches arrive). Lock-step rounds mean at most one proposal
-  /// can be waiting; a deferral that missed its round lapses silently.
-  void retry_awaiting_payloads();
+  /// New batches arrived: credits late ones to their committed ledger
+  /// entries, then re-runs the vote path for a proposal deferred on missing
+  /// batches. Lock-step rounds mean at most one proposal can be waiting; a
+  /// deferral that missed its round lapses silently.
+  void on_payload_arrival();
 
   void on_proposal(const SProposal& proposal);
   void on_vote(const SVote& vote);
@@ -301,7 +287,7 @@ class StreamletCore {
   sim::Scheduler& sched_;
   std::shared_ptr<const crypto::KeyRegistry> registry_;
   crypto::Signer signer_;
-  mempool::Mempool& pool_;
+  dissem::DataPlane& plane_;
   Hooks hooks_;
   core::Lifecycle lifecycle_;
   storage::ReplicaStore* store_;  // null = no persistence
@@ -330,7 +316,7 @@ class StreamletCore {
   std::optional<types::Block> awaiting_batches_;
   sim::TimerId tick_timer_ = sim::kInvalidTimer;
 
-  /// Certificate memo + vote-check counters (obs); one per replica.
+  /// Signature-check counters (obs); one per replica.
   crypto::VerifyCache cache_;
 
   /// votes per block (by voter), and the certified set.

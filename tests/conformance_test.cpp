@@ -394,6 +394,69 @@ TEST(Conformance, DisseminationModeConformanceOnAllThreeEngines) {
   }
 }
 
+TEST(Conformance, DigestModeCrashRestartOnAllThreeEngines) {
+  // A replica that crash-restarts in digest mode misses the batches pushed
+  // while it was down. Block sync commits those blocks before their batches
+  // arrive; the pull brings the batches in afterwards, and their
+  // transactions must still reach the ledger entry of the block that
+  // referenced them. The restarted replica's ledger must match replica 0's
+  // block for block, transaction counts included.
+  constexpr ReplicaId kRestarted = 2;
+  for (const Protocol protocol : engine::kAllProtocols) {
+    harness::Scenario s = base_scenario(protocol);
+    s.dissemination = true;
+    s.dissem.batch_max_txns = 50;
+    s.faults.resize(s.n);
+    s.faults[kRestarted] = FaultSpec::crash_restart(seconds(2), seconds(4));
+    // No snapshots: the WAL's commit records alone must carry the credited
+    // counts across the second restart below.
+    s.snapshot_interval_blocks = 0;
+
+    harness::SafetyAuditor auditor({protocol, s.n});
+    Deployment deployment(
+        s.to_deployment_config(),
+        [&auditor](ReplicaId replica, const types::Block& block,
+                   std::uint32_t strength, SimTime now) {
+          auditor.on_commit(replica, block, strength, now);
+        },
+        auditor.taps());
+    deployment.start();
+    deployment.run_for(s.duration);
+
+    const auto& ledger0 = deployment.ledger(0);
+    const auto& restarted = deployment.ledger(kRestarted);
+    const Height common =
+        std::min(ledger0.tip().value_or(0), restarted.tip().value_or(0));
+    ASSERT_GT(common, 0u) << engine::protocol_name(protocol);
+    for (Height h = 1; h <= common; ++h) {
+      ASSERT_EQ(ledger0.at(h).block_id, restarted.at(h).block_id)
+          << engine::protocol_name(protocol) << " height " << h;
+      ASSERT_EQ(ledger0.at(h).txn_count, restarted.at(h).txn_count)
+          << engine::protocol_name(protocol) << " height " << h;
+    }
+    const auto& stats = deployment.net_stats();
+    EXPECT_GT(stats.for_type("batch_req").count, 0u)
+        << engine::protocol_name(protocol);
+    EXPECT_EQ(stats.decode_drops(), 0u) << engine::protocol_name(protocol);
+    EXPECT_TRUE(auditor.violations().empty())
+        << engine::protocol_name(protocol);
+
+    // The credited counts are durable: a second crash-restart restores
+    // them from the WAL (checked before any re-sync can recount a block).
+    deployment.engine(kRestarted).stop();
+    deployment.store(kRestarted)->simulate_crash();
+    deployment.engine(kRestarted).restart();
+    const auto& restored = deployment.ledger(kRestarted);
+    ASSERT_GE(restored.tip().value_or(0), common / 2)
+        << engine::protocol_name(protocol);
+    for (Height h = 1; h <= restored.tip().value_or(0); ++h) {
+      if (!restored.is_committed(h)) continue;
+      ASSERT_EQ(ledger0.at(h).txn_count, restored.at(h).txn_count)
+          << engine::protocol_name(protocol) << " restored height " << h;
+    }
+  }
+}
+
 TEST(Conformance, BatchWithholdingLivenessViaPull) {
   // A coalition that packs batches and proposes their digests but never
   // pushes the bytes (Strategy::BatchWithholder). Honest replicas must not

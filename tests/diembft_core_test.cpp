@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "sftbft/consensus/diembft.hpp"
+#include "sftbft/net/sim_transport.hpp"
 
 namespace sftbft::consensus {
 namespace {
@@ -49,7 +50,7 @@ class DiemBftCoreTest : public ::testing::Test {
                              SimTime now) {
       outbox_.commits.emplace_back(block.id, strength, now);
     };
-    core_ = std::make_unique<DiemBftCore>(config, sched_, registry_, pool_,
+    core_ = std::make_unique<DiemBftCore>(config, sched_, registry_, plane_,
                                           std::move(hooks));
     core_->start();
   }
@@ -101,7 +102,10 @@ class DiemBftCoreTest : public ::testing::Test {
 
   sim::Scheduler sched_;
   std::shared_ptr<crypto::KeyRegistry> registry_;
-  mempool::Mempool pool_;
+  net::SimTransport transport_{sched_, net::Topology::uniform(kN, millis(1)),
+                               {}, 1};
+  /// Inline payloads over an empty mempool; the workload never starts.
+  dissem::DataPlane plane_{0, transport_, {}, Rng(0), {}, {}, {}};
   Outbox outbox_;
   std::unique_ptr<DiemBftCore> core_;
 };

@@ -1,7 +1,7 @@
 // sftbft::dissem — the dissemination data plane, unit by unit, plus an
 // end-to-end digest-mode deployment smoke: batches are content-addressed
 // (tampering is detected), the BatchStore's proposable state machine dedups
-// commits across forks, the broadcaster's push/pull protocol moves batches
+// commits across forks, the DataPlane's push/pull protocol moves batches
 // between replicas over the real transport, the AdmissionFrontend enforces
 // dedup / rate limits / backpressure, and a digest-mode run commits real
 // transactions with proposal frames a fraction of the inline-mode size.
@@ -12,7 +12,7 @@
 #include "sftbft/dissem/admission.hpp"
 #include "sftbft/dissem/batch.hpp"
 #include "sftbft/dissem/batch_store.hpp"
-#include "sftbft/dissem/broadcaster.hpp"
+#include "sftbft/dissem/plane.hpp"
 #include "sftbft/harness/scenario.hpp"
 #include "sftbft/net/sim_transport.hpp"
 
@@ -149,58 +149,48 @@ TEST(BatchStore, LateBatchForCommittedDigestFilesAsCommitted) {
   EXPECT_TRUE(missing2.empty());
 }
 
-// -------------------------------------------------------- BatchBroadcaster
+// ----------------------------------------------------- DataPlane push/pull
 
-struct Plane {
-  mempool::Mempool pool;
-  BatchStore store;
-  std::unique_ptr<BatchBroadcaster> broadcaster;
+/// One replica's digest-side data plane with no client traffic of its own:
+/// tests feed its mempool by hand.
+struct Node {
+  std::unique_ptr<DataPlane> plane;
   std::uint32_t arrivals = 0;
 
   void wire(ReplicaId id, net::SimTransport& transport, DissemConfig config,
-            BatchBroadcaster::Options options = {.silent = false,
-                                                 .withhold_push = false}) {
-    broadcaster = std::make_unique<BatchBroadcaster>(
-        id, transport, pool, store, config, [this] { ++arrivals; }, options);
+            DataPlane::Options options = {}) {
+    config.enabled = true;
+    plane = std::make_unique<DataPlane>(
+        id, transport, mempool::WorkloadConfig{.target_pool_size = 0}, Rng(id),
+        config, options, [this] { ++arrivals; });
     transport.set_handler(id, [this](const net::Envelope& env, std::size_t) {
-      switch (env.type) {
-        case net::WireType::kBatchPush:
-          broadcaster->on_push(env.unpack<BatchPush>());
-          break;
-        case net::WireType::kBatchRequest:
-          broadcaster->on_request(env.unpack<BatchRequest>());
-          break;
-        case net::WireType::kBatchResponse:
-          broadcaster->on_response(env.unpack<BatchResponse>());
-          break;
-        default:
-          FAIL() << "unexpected wire type";
-      }
+      plane->demux(env);
     });
   }
 };
 
-TEST(BatchBroadcaster, PacksAndPushesToAllPeers) {
+TEST(DataPlane, PacksAndPushesToAllPeers) {
   sim::Scheduler sched;
   net::SimTransport transport(sched, net::Topology::uniform(3, millis(1)),
                               {}, 1);
   DissemConfig config;
   config.batch_max_txns = 4;
-  Plane planes[3];
-  for (ReplicaId id = 0; id < 3; ++id) planes[id].wire(id, transport, config);
+  Node nodes[3];
+  for (ReplicaId id = 0; id < 3; ++id) nodes[id].wire(id, transport, config);
 
-  for (std::uint64_t i = 0; i < 6; ++i) planes[0].pool.submit(txn(i));
-  planes[0].broadcaster->start();
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    nodes[0].plane->mempool().submit(txn(i));
+  }
+  nodes[0].plane->start();
   sched.run_for(millis(100));
 
   // Two batches (4 + 2 txns) packed and replicated to both peers.
-  EXPECT_EQ(planes[0].broadcaster->batches_packed(), 2u);
-  for (const Plane& plane : planes) EXPECT_EQ(plane.store.size(), 2u);
-  EXPECT_EQ(planes[1].arrivals, 2u);
+  for (const Node& node : nodes) EXPECT_EQ(node.plane->store().size(), 2u);
+  EXPECT_EQ(nodes[1].arrivals, 2u);
   EXPECT_EQ(transport.stats().for_type("batch_push").count, 4u);
 }
 
-TEST(BatchBroadcaster, PullRecoversWithheldBatch) {
+TEST(DataPlane, PullRecoversWithheldBatch) {
   // Replica 0 packs but never pushes (the BatchWithholder posture). A peer
   // that learns the digest pulls it: request goes out, the withholder still
   // serves the pull, the arrival callback fires.
@@ -210,46 +200,72 @@ TEST(BatchBroadcaster, PullRecoversWithheldBatch) {
   DissemConfig config;
   config.pull_fanout = 2;
   config.pull_retry = millis(50);
-  Plane planes[3];
-  planes[0].wire(0, transport, config,
-                 {.silent = false, .withhold_push = true});
-  planes[1].wire(1, transport, config);
-  planes[2].wire(2, transport, config);
+  Node nodes[3];
+  nodes[0].wire(0, transport, config, {.withhold_push = true});
+  nodes[1].wire(1, transport, config);
+  nodes[2].wire(2, transport, config);
 
-  for (std::uint64_t i = 0; i < 3; ++i) planes[0].pool.submit(txn(i));
-  planes[0].broadcaster->start();
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    nodes[0].plane->mempool().submit(txn(i));
+  }
+  nodes[0].plane->start();
   sched.run_for(millis(50));
-  ASSERT_EQ(planes[0].store.size(), 1u);
-  ASSERT_EQ(planes[1].store.size(), 0u);  // withheld
+  ASSERT_EQ(nodes[0].plane->store().size(), 1u);
+  ASSERT_EQ(nodes[1].plane->store().size(), 0u);  // withheld
 
-  const crypto::Sha256Digest digest =
-      planes[0].store.make_payload(1, 0, seconds(2)).batch_digests.at(0);
-  planes[1].broadcaster->want({digest});
+  // A proposal referencing the batch: replica 1 cannot vote on it yet.
+  const types::Payload payload = nodes[0].plane->make_payload(0);
+  ASSERT_EQ(payload.batch_digests.size(), 1u);
+  EXPECT_FALSE(nodes[1].plane->available(payload));
+  nodes[1].plane->fetch(payload);
   sched.run_for(millis(500));
 
-  EXPECT_TRUE(planes[1].store.has(digest));
-  EXPECT_GE(planes[1].arrivals, 1u);
-  EXPECT_EQ(planes[1].broadcaster->missing_count(), 0u);
-  EXPECT_GT(transport.stats().for_type("batch_req").count, 0u);
+  EXPECT_TRUE(nodes[1].plane->store().has(payload.batch_digests[0]));
+  EXPECT_TRUE(nodes[1].plane->available(payload));
+  EXPECT_GE(nodes[1].arrivals, 1u);
+  const std::uint64_t requests = transport.stats().for_type("batch_req").count;
+  EXPECT_GT(requests, 0u);
   EXPECT_GT(transport.stats().for_type("batch_resp").count, 0u);
+
+  // The arrival settled the pull: no digest is left wanted, so further
+  // watchdog periods send no more requests.
+  sched.run_for(config.pull_retry * 5);
+  EXPECT_EQ(transport.stats().for_type("batch_req").count, requests);
 }
 
-TEST(BatchBroadcaster, TamperedBatchIsRejected) {
+TEST(DataPlane, TamperedBatchIsRejected) {
   sim::Scheduler sched;
   net::SimTransport transport(sched, net::Topology::uniform(2, millis(1)),
                               {}, 3);
   DissemConfig config;
-  Plane planes[2];
-  planes[0].wire(0, transport, config);
-  planes[1].wire(1, transport, config);
+  Node nodes[2];
+  nodes[0].wire(0, transport, config);
+  nodes[1].wire(1, transport, config);
 
   Batch forged = make_batch(0, 0, {1, 2});
   forged.txns[0].id = 77;  // bytes no longer match the content address
   transport.send(1, net::Envelope::pack(net::WireType::kBatchPush, 0,
                                         BatchPush{forged}));
   sched.run_until_idle();
-  EXPECT_EQ(planes[1].store.size(), 0u);
-  EXPECT_EQ(planes[1].arrivals, 0u);
+  EXPECT_EQ(nodes[1].plane->store().size(), 0u);
+  EXPECT_EQ(nodes[1].arrivals, 0u);
+}
+
+TEST(DataPlane, InlineSideRejectsBatchFrames) {
+  // The digest side is off: a batch frame is a payload this replica cannot
+  // parse, and every payload stays available (votes never wait on data).
+  sim::Scheduler sched;
+  net::SimTransport transport(sched, net::Topology::uniform(2, millis(1)),
+                              {}, 4);
+  DataPlane plane(0, transport, {}, Rng(0), DissemConfig{}, {}, {});
+  EXPECT_FALSE(plane.gates_votes());
+  EXPECT_THROW(plane.demux(net::Envelope::pack(
+                   net::WireType::kBatchPush, 1,
+                   BatchPush{make_batch(1, 0, {1})})),
+               CodecError);
+  const types::Payload digests =
+      types::Payload::referencing({make_batch(1, 0, {1}).digest});
+  EXPECT_TRUE(plane.available(digests));
 }
 
 // -------------------------------------------------------- AdmissionFrontend

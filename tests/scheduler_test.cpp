@@ -122,5 +122,72 @@ TEST(Scheduler, MaxEventsBoundsRun) {
   EXPECT_EQ(sched.events_processed(), 100u);
 }
 
+TEST(Scheduler, PendingIsExactAcrossCancelBeforeFire) {
+  Scheduler sched;
+  const TimerId a = sched.schedule_at(10, [] {});
+  sched.schedule_at(20, [] {});
+  EXPECT_EQ(sched.pending(), 2u);
+  sched.cancel(a);
+  EXPECT_EQ(sched.pending(), 1u);  // the tombstone is not counted
+  sched.cancel(a);                 // cancelling twice changes nothing
+  EXPECT_EQ(sched.pending(), 1u);
+  sched.run_until(15);             // pops the tombstone, runs nothing
+  EXPECT_EQ(sched.events_processed(), 0u);
+  EXPECT_EQ(sched.pending(), 1u);
+  sched.run_until_idle();
+  EXPECT_EQ(sched.events_processed(), 1u);
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
+TEST(Scheduler, PendingIsExactAcrossCancelAfterFire) {
+  Scheduler sched;
+  const TimerId fired = sched.schedule_at(10, [] {});
+  sched.schedule_at(20, [] {});
+  sched.run_until(10);
+  EXPECT_EQ(sched.pending(), 1u);
+  sched.cancel(fired);  // already fired: must not un-count the live event
+  EXPECT_EQ(sched.pending(), 1u);
+  sched.run_until_idle();
+  EXPECT_EQ(sched.events_processed(), 2u);
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
+TEST(Scheduler, StaleIdDoesNotTouchAReusedSlot) {
+  // A fired or cancelled event's slot is handed to the next event; the old
+  // id must not cancel the new occupant.
+  Scheduler sched;
+  const TimerId cancelled = sched.schedule_at(10, [] {});
+  sched.cancel(cancelled);
+  int fired = 0;
+  const TimerId reuser = sched.schedule_at(10, [&] { ++fired; });
+  EXPECT_NE(reuser, cancelled);
+  sched.cancel(cancelled);
+  sched.run_until(10);
+  EXPECT_EQ(fired, 1);
+
+  sched.schedule_at(20, [&] { ++fired; });  // takes the fired event's slot
+  sched.cancel(reuser);
+  EXPECT_EQ(sched.pending(), 1u);
+  sched.run_until_idle();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(Scheduler, CallbackCancelsSameTimeEvent) {
+  Scheduler sched;
+  std::vector<int> order;
+  TimerId victim = kInvalidTimer;
+  sched.schedule_at(50, [&] {
+    order.push_back(1);
+    sched.cancel(victim);
+  });
+  victim = sched.schedule_at(50, [&] { order.push_back(2); });
+  sched.schedule_at(50, [&] { order.push_back(3); });
+  EXPECT_EQ(sched.pending(), 3u);
+  sched.run_until(50);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sched.events_processed(), 2u);
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
 }  // namespace
 }  // namespace sftbft::sim

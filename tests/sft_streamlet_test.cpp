@@ -6,6 +6,7 @@
 
 #include <variant>
 
+#include "sftbft/net/sim_transport.hpp"
 #include "sftbft/obs/observer.hpp"
 #include "sftbft/streamlet/streamlet.hpp"
 
@@ -20,7 +21,7 @@ class SftStreamletUnit : public ::testing::Test {
 
   SftStreamletUnit()
       : registry_(std::make_shared<crypto::KeyRegistry>(kN, 3)),
-        core_(make_config(), sched_, registry_, pool_, StreamletCore::Hooks{}) {}
+        core_(make_config(), sched_, registry_, plane_, StreamletCore::Hooks{}) {}
 
   static StreamletConfig make_config() {
     StreamletConfig config;
@@ -73,7 +74,10 @@ class SftStreamletUnit : public ::testing::Test {
 
   sim::Scheduler sched_;
   std::shared_ptr<crypto::KeyRegistry> registry_;
-  mempool::Mempool pool_;
+  net::SimTransport transport_{sched_, net::Topology::uniform(kN, millis(1)),
+                               {}, 1};
+  /// Inline payloads over an empty mempool; the workload never starts.
+  dissem::DataPlane plane_{0, transport_, {}, Rng(0), {}, {}, {}};
   StreamletCore core_;
 };
 
@@ -227,7 +231,7 @@ class StreamletVoteDedup : public ::testing::Test {
   StreamletVoteDedup()
       : registry_(std::make_shared<crypto::KeyRegistry>(kN, 5)),
         observer_(obs::ObsConfig{.enabled = true}, kN),
-        core_(make_config(&observer_), sched_, registry_, pool_, make_hooks()) {
+        core_(make_config(&observer_), sched_, registry_, plane_, make_hooks()) {
     block_ = make_first_block();
     proposal_.block = block_;
     proposal_.sig =
@@ -294,7 +298,10 @@ class StreamletVoteDedup : public ::testing::Test {
 
   sim::Scheduler sched_;
   std::shared_ptr<crypto::KeyRegistry> registry_;
-  mempool::Mempool pool_;
+  net::SimTransport transport_{sched_, net::Topology::uniform(kN, millis(1)),
+                               {}, 1};
+  /// Inline payloads over an empty mempool; the workload never starts.
+  dissem::DataPlane plane_{0, transport_, {}, Rng(0), {}, {}, {}};
   obs::Observer observer_;
   int vote_echoes_ = 0;
   int proposal_echoes_ = 0;

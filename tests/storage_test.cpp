@@ -355,6 +355,54 @@ TEST(ReplicaStore, SnapshotTruncatesWalAndMergesOnRecovery) {
   EXPECT_EQ(state.frontier[0].block_id, later);
 }
 
+TEST(ReplicaStore, CommitRecordsKeepTheLargerTxnCount) {
+  // A digest-mode commit can be recorded before its late batches arrive
+  // (txn_count short) and re-recorded once they are credited. Recovery keeps
+  // the larger count whatever the record order, and a strength raise
+  // recorded from a short entry does not bring the short count back.
+  const auto commit_at = [](Height height, std::uint32_t strength,
+                            std::uint64_t txns) {
+    chain::Ledger::Entry entry;
+    entry.block_id.bytes[0] = static_cast<std::uint8_t>(height);
+    entry.round = height;
+    entry.height = height;
+    entry.strength = strength;
+    entry.txn_count = txns;
+    return entry;
+  };
+  MemBackend backend(5);
+  ReplicaStore store(backend, 0);
+  store.record_commit(commit_at(1, 1, 0));    // short, then credited
+  store.record_commit(commit_at(1, 1, 320));
+  store.record_commit(commit_at(2, 1, 320));  // credited, then short
+  store.record_commit(commit_at(2, 1, 0));
+  store.record_commit(commit_at(3, 1, 320));  // raise from a short entry
+  store.record_commit(commit_at(3, 2, 0));
+  store.record_commit(commit_at(4, 1, 0));    // raise after the credit
+  store.record_commit(commit_at(4, 2, 320));
+
+  RecoveredState state = store.recover();
+  ASSERT_EQ(state.ledger.size(), 4u);
+  for (const chain::Ledger::Entry& entry : state.ledger) {
+    EXPECT_EQ(entry.txn_count, 320u) << "height " << entry.height;
+  }
+  EXPECT_EQ(state.ledger[0].strength, 1u);
+  EXPECT_EQ(state.ledger[2].strength, 2u);
+  EXPECT_EQ(state.ledger[3].strength, 2u);
+
+  // The same holds for a snapshot entry with a short WAL raise on top.
+  ReplicaStore snapped(backend, 1);
+  types::Block tip;
+  tip.height = 5;
+  tip.seal();
+  snapped.write_snapshot(tip, {commit_at(5, 1, 320)}, Envelope{});
+  snapped.record_commit(commit_at(5, 2, 0));
+  state = snapped.recover();
+  ASSERT_EQ(state.ledger.size(), 1u);
+  EXPECT_EQ(state.ledger[0].strength, 2u);
+  EXPECT_EQ(state.ledger[0].txn_count, 320u);
+}
+
 TEST(ReplicaStore, VoteRecordsSyncImmediatelyDespiteBatching) {
   // WAL-before-wire: even with watermark batching (wal_sync_every > 1), a
   // vote record must be durable the moment record_vote returns — a crash
